@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 invalid triplet, 3 solver degeneracy
-(over/underdetermined system), 64 usage errors.  Output is deterministic;
+(over/underdetermined system), 4 failed internal consistency check,
+64 usage errors.  Output is deterministic;
 `--json` switches every subcommand to the documented JSON schemas.
 """
 
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 from . import classical
 from .core import HomologyTriplet, enumerate_triplets, validate_triplet
-from .errors import DegenerateSystem, TripletError
+from .errors import ConsistencyError, DegenerateSystem, TripletError
 from .solver import betti, solve_alpha
 from .squarefree import triplet_betti
 from .tables import full_table, render
@@ -32,6 +33,13 @@ def _int_list(text):
         return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError("expected a comma-separated integer list, got %r" % text)
+
+
+def _scale(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("expected a rational number like 3/2, got %r" % text)
 
 
 def _window(text):
@@ -74,7 +82,7 @@ def build_parser():
 
     p = sub.add_parser("zip")
     p.add_argument("--roots", type=_int_list, required=True)
-    p.add_argument("--scale", type=Fraction, default=Fraction(1))
+    p.add_argument("--scale", type=_scale, default=Fraction(1))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true")
 
@@ -184,6 +192,9 @@ def main(argv=None):
     except DegenerateSystem as exc:
         print("solver degeneracy: %s" % exc, file=sys.stderr)
         return 3
+    except ConsistencyError as exc:
+        print("consistency check failed: %s" % exc, file=sys.stderr)
+        return 4
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_EXIT

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 
 from .degsets import DegreeSet, is_balanced, reflect, strands
-from .errors import TripletError
+from .errors import ConsistencyError, TripletError
 
 MAX_N_ENV = "TRIPLETS_MAX_N"
 DEFAULT_MAX_N = 12
@@ -118,7 +118,8 @@ def _check(t):
     if not is_balanced(DegreeSet(b, n, refl_h), DegreeSet(b, n, refl_c)):
         raise TripletError("balanced_HC", "(refl H, refl C) not balanced over [%d, %d]" % (b, n))
 
-    assert s_h + s_c + b == len(t.B) - 1
+    if s_h + s_c + b != len(t.B) - 1:
+        raise ConsistencyError("s_H + s_C + b != |B| - 1 for %r" % (t,))
 
 
 def validate_triplet(n, B, H, C):

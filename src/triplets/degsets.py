@@ -11,6 +11,8 @@ s = number of nondegrees.
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import ConsistencyError
+
 
 @dataclass(frozen=True)
 class DegreeSet:
@@ -95,11 +97,12 @@ def is_balanced(X, Y):
     """Whether (X, Y) is a balanced pair over their common interval.
 
     Evaluates both the prefix-count condition and the strand-start
-    criterion and asserts they agree.
+    criterion and raises ConsistencyError if they disagree.
     """
     if (X.lo, X.hi) != (Y.lo, Y.hi):
         raise ValueError("mismatched intervals: [%d,%d] vs [%d,%d]" % (X.lo, X.hi, Y.lo, Y.hi))
     a = _balanced_by_prefix(X, Y)
     b = _balanced_by_strand_starts(X, Y)
-    assert a == b, "balancedness criteria disagree on %r, %r" % (X, Y)
+    if a != b:
+        raise ConsistencyError("balancedness criteria disagree on %r, %r" % (X, Y))
     return a

@@ -1,14 +1,20 @@
-"""Exact rational polynomials, the basis P_{n,i}, and integer-preserving
-nullspace computation.
+"""Exact rational polynomials, the basis P_{n,i}, integer Newton series,
+and fraction-free nullspace computation.
 
 P_{n,i}(d) = C(d+i-1, i) * C(d+n, n-i) has degree n and satisfies
 P_{n,i}(-k) = (-1)^i [k == i] for k in [0, n], so any polynomial p of
 degree <= n is sum_i alpha_i P_{n,i} with alpha_i = (-1)^i p(-i).
+
+The hot path holds an integer-valued polynomial as its Newton series a:
+p(d) = sum_i a_i C(d+i-1, i), with integer a_i (Polya) equal to the i-th
+backward difference of p at 0.  Systems are solved by Bareiss elimination
+on integer rows.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import comb, factorial, gcd, lcm
 
 
@@ -98,9 +104,6 @@ class RatPoly:
         return " + ".join(parts)
 
 
-X = RatPoly([0, 1])
-
-
 @cache
 def binom_poly(shift, k):
     """C(d + shift, k) as a polynomial in d, via the falling factorial."""
@@ -118,14 +121,6 @@ def basis_poly(n, i):
     return binom_poly(i - 1, i) * binom_poly(n, n - i)
 
 
-@cache
-def basis_poly_scaled(n, i):
-    """basis_poly(n, i) as (integer coefficient tuple, common denominator)."""
-    p = basis_poly(n, i)
-    den = lcm(*(Fraction(c).denominator for c in p.coeffs))
-    return tuple(int(c * den) for c in p.coeffs), den
-
-
 def in_basis(p, n):
     """Coefficients alpha_0..alpha_n of p in the P_{n,i} basis."""
     if p.degree > n:
@@ -134,11 +129,6 @@ def in_basis(p, n):
 
 
 def from_basis(alpha, n):
-    return _from_basis(tuple(alpha), n)
-
-
-@cache
-def _from_basis(alpha, n):
     p = RatPoly()
     for i, a in enumerate(alpha):
         if a:
@@ -146,33 +136,41 @@ def _from_basis(alpha, n):
     return p
 
 
-def integer_evaluator(p):
-    """Fast exact evaluation of an integer-valued polynomial at integers.
+def newton_series(alpha):
+    """Newton series a_0..a_n of from_basis(alpha, n): a_m = sum_i alpha_i C(m, i).
 
-    Scales the coefficients to a common integer form once; each call is a
-    pure-integer Horner pass.  Raises if a value is not an integer.
+    With g(e) = (-1)^e alpha_e = p(-e), a_m = (-1)^m (Delta^m g)(0).  a_{n-j}
+    is row j of degree_drop_equations applied to alpha.
     """
-    denoms = [1 if isinstance(c, int) else c.denominator for c in p.coeffs]
-    scale = lcm(*denoms) if denoms else 1
-    cs = [int(c * scale) for c in reversed(p.coeffs)]
+    g = [-x if e % 2 else x for e, x in enumerate(alpha)]
+    out = []
+    for m in range(len(g)):
+        out.append(-g[0] if m % 2 else g[0])
+        g = [y - x for x, y in zip(g, g[1:])]
+    return tuple(out)
 
-    if scale == 1:
-        def evaluate(x):
-            acc = 0
-            for c in cs:
-                acc = acc * x + c
-            return acc
-    else:
-        def evaluate(x):
-            acc = 0
-            for c in cs:
-                acc = acc * x + c
-            q, r = divmod(acc, scale)
-            if r:
-                raise ValueError("polynomial value %s/%s is not an integer" % (acc, scale))
-            return q
 
-    return evaluate
+def newton_poly(a):
+    """The polynomial sum_i a_i C(d+i-1, i) as a RatPoly."""
+    return sum((binom_poly(i - 1, i) * x for i, x in enumerate(a) if x), RatPoly())
+
+
+def newton_values(a, start, stop):
+    """[p(d) for d in range(start, stop)] for the Newton series a of p.
+
+    The differences are stepped down to the first point if it is below 0;
+    from there on each difference is the running sum of the one above it.
+    """
+    diffs = list(a) or [0]
+    origin = min(start, 0)
+    for _ in range(origin, 0):
+        for i in range(len(diffs) - 1):
+            diffs[i] -= diffs[i + 1]
+    vals = [diffs[-1]] * max(stop - origin, 1)
+    for c in reversed(diffs[:-1]):
+        vals[0] = c
+        vals = list(accumulate(vals))
+    return vals[start - origin:stop - origin]
 
 
 def degree_drop_equations(n, b, alternative=False):
@@ -194,31 +192,30 @@ def degree_drop_equations(n, b, alternative=False):
 
 @dataclass(frozen=True)
 class RatMatrix:
-    rows: tuple
+    rows: tuple  # int entries stay int, others become Fractions
     ncols: int
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(Fraction(x) for x in r) for r in self.rows))
-        for r in self.rows:
+        rows = tuple(tuple(x if isinstance(x, int) else Fraction(x) for x in r) for r in self.rows)
+        object.__setattr__(self, "rows", rows)
+        for r in rows:
             if len(r) != self.ncols:
                 raise ValueError("ragged matrix")
 
 
-def _int_rows(m):
-    out = []
-    for row in m.rows:
-        scale = lcm(*(f.denominator for f in row)) if row else 1
-        out.append([int(f * scale) for f in row])
-    return out
+def _int_row(row):
+    """row times the lcm of its denominators: integer entries, same direction."""
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
 
 
 def row_echelon(m):
-    """Fraction-free (Bareiss) row echelon of an integer-scaled copy of m.
+    """Fraction-free (Bareiss) row echelon of m with each row scaled to integers.
 
     Returns (echelon rows, pivot column indices).  Pivot choice is
     deterministic: leftmost column, first nonzero row.
     """
-    rows = _int_rows(m)
+    rows = [_int_row(r) for r in m.rows]
     piv_cols = []
     r = 0
     prev = 1
@@ -227,44 +224,51 @@ def row_echelon(m):
         if k is None:
             continue
         rows[r], rows[k] = rows[k], rows[r]
+        top = rows[r]
+        p = top[c]
         for i in range(r + 1, len(rows)):
-            rows[i] = [
-                (rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j]) // prev
-                for j in range(m.ncols)
-            ]
-        prev = rows[r][c]
+            row = rows[i]
+            f = row[c]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
         piv_cols.append(c)
         r += 1
     return rows[:r], piv_cols
 
 
 def nullspace(m):
-    """Basis of the right nullspace of m, exact, deterministic order."""
+    """Basis of the right nullspace of m: primitive integer vectors, each
+    positive in its free column; exact, deterministic order."""
     ech, piv_cols = row_echelon(m)
-    free_cols = [c for c in range(m.ncols) if c not in piv_cols]
     basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * m.ncols
-        v[f] = Fraction(1)
+    for f in range(m.ncols):
+        if f in piv_cols:
+            continue
+        v = [0] * m.ncols
+        v[f] = 1
         for r in range(len(piv_cols) - 1, -1, -1):
             c = piv_cols[r]
-            s = sum((ech[r][j] * v[j] for j in range(c + 1, m.ncols)), Fraction(0))
-            v[c] = -s / ech[r][c]
-        basis.append(tuple(v))
+            row = ech[r]
+            s = sum(row[j] * v[j] for j in range(c + 1, m.ncols))
+            p = row[c]
+            k = abs(p) // gcd(s, p)  # scale v so the pivot divides
+            if k != 1:
+                v = [x * k for x in v]
+                s *= k
+            v[c] = -s // p
+        g = gcd(*v)
+        basis.append(tuple(x // g for x in v))
     return basis
 
 
 def primitive_normalize(v, sign_index):
     """Smallest integer multiple of v with gcd 1 and v[sign_index] > 0."""
-    fr = [Fraction(x) for x in v]
-    if all(x == 0 for x in fr):
-        raise ValueError("cannot normalize the zero vector")
-    scale = lcm(*(x.denominator for x in fr))
-    ints = [int(x * scale) for x in fr]
+    ints = _int_row([x if isinstance(x, int) else Fraction(x) for x in v])
     g = gcd(*ints)
-    ints = [x // g for x in ints]
+    if g == 0:
+        raise ValueError("cannot normalize the zero vector")
     if ints[sign_index] == 0:
         raise ValueError("ambiguous sign: entry %d is zero" % sign_index)
     if ints[sign_index] < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+        g = -g
+    return tuple(x // g for x in ints)

@@ -7,24 +7,21 @@ sum_{i<=r} alpha_i C(r, i) = 0; for each r in [c, n-b] \\ C,
 sum_{i<=r} alpha_{n-i} C(r, i) = 0.  (The C-rows with r > n-b span the same
 space as the H-rows there and are dropped.)  After deduplication there are
 exactly s_H + s_C + b = |B| - 1 rows.
+
+Downstream, the Hilbert polynomial is its integer Newton series A (see
+linalg), A_r = sum_i alpha_i C(r, i): the H-rows say A_r = 0 off H, chi_q
+is (-1)^q times the slice of A on the q-th strand of H, and psi_q is the
+same on the dual alpha.  Polynomials are built only for display.
 """
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import comb, lcm
+from functools import cached_property
+from math import comb
 
 from .degsets import DegreeSet, strands
 from .errors import ConsistencyError, Overdetermined, Underdetermined
-from .linalg import (
-    RatMatrix,
-    RatPoly,
-    basis_poly_scaled,
-    from_basis,
-    integer_evaluator,
-    nullspace,
-    primitive_normalize,
-)
+from .linalg import RatMatrix, from_basis, newton_poly, newton_series, newton_values, nullspace, primitive_normalize
 
 
 @dataclass(frozen=True)
@@ -38,6 +35,11 @@ class AlphaVector:
 
     def on_support(self):
         return tuple(self.values[i] for i in self.support)
+
+    @cached_property
+    def series(self):
+        """Newton series A_0..A_n of the Hilbert polynomial."""
+        return newton_series(self.values)
 
     def hilbert_poly(self):
         return from_basis(self.values, self.n)
@@ -76,7 +78,9 @@ def solve_alpha(t):
     for q, d in enumerate(t.B):
         if (-1) ** q * values[d] <= 0:
             raise ConsistencyError("sign convention violated at q=%d for %r" % (q, t))
-    if alpha.hilbert_poly().degree != t.n - t.b:
+    # The rows j < b of degree_drop_equations(n, .) vanish and row b does not.
+    top = t.n - t.b
+    if not alpha.series[top] or any(alpha.series[top + 1:]):
         raise ConsistencyError("Hilbert polynomial degree != n - b for %r" % (t,))
     return alpha
 
@@ -95,78 +99,72 @@ def dual_alpha(alpha):
 
 @dataclass(frozen=True)
 class ChiFamily:
-    chis: tuple  # chi_0..chi_{s_H}
-    psis: tuple  # psi_0..psi_{s_C}
+    """chi_q and psi_q as Newton series with trailing zeros trimmed:
+    chi_q(d) = sum_i chi_series[q][i] C(d+i-1, i); len = degree + 1."""
+
+    chi_series: tuple  # chi_0..chi_{s_H}
+    psi_series: tuple  # psi_0..psi_{s_C}
     flags: tuple = field(default=())  # strict degree drops, ("chi"|"psi", q)
 
+    @property
+    def chis(self):
+        return tuple(map(newton_poly, self.chi_series))
 
-def _truncated_family(t, alpha):
-    """chi_{p-1} = (-1)^(p-1) (RHS_p - RHS_{p-1}) where RHS_p interpolates
-    the Hilbert polynomial through the points 0..-(h_p - 2)."""
-    starts = strands(DegreeSet(t.h, t.n - t.b, t.H)).starts
-    chis = []
+    @property
+    def psis(self):
+        return tuple(map(newton_poly, self.psi_series))
+
+
+def _truncated_family(X, series, what, t):
+    """chi_q = (-1)^q sum_{m_q < i <= m_{q+1}} A_i C(d+i-1, i), where
+    m_q = x_q - 2 for the strand starts x_q of the degree set X and m_0 = -1.
+
+    The partial sum up to m_p interpolates the Hilbert polynomial through the
+    points 0..-m_p, so chi_q is the difference of two interpolants, and the
+    alternating sum of the family telescopes to the Hilbert polynomial.
+    """
+    starts = strands(X).starts
+    family = []
     flags = []
-    rhs_prev = RatPoly()
-    for p in range(1, len(starts)):
-        m = starts[p] - 2
-        # Accumulate in integers over a common denominator; Fractions only
-        # appear once per coefficient at the end.
-        den = 1
-        acc = [0] * (m + 1) if m >= 0 else []
-        for i in t.B:
-            if i <= m and alpha.values[i]:
-                cs, d = basis_poly_scaled(m, i)
-                if d != den:
-                    g = lcm(den, d)
-                    if g != den:
-                        f = g // den
-                        acc = [c * f for c in acc]
-                        den = g
-                    d = g // d
-                else:
-                    d = 1
-                a = alpha.values[i] * d
-                for j, c in enumerate(cs):
-                    acc[j] += c * a
-        rhs = RatPoly([Fraction(c, den) for c in acc])
-        chi = rhs - rhs_prev if p % 2 else rhs_prev - rhs
-        q = p - 1
-        empty = starts[p] == starts[q] + 1
-        if empty:
+    lo = 0
+    for q in range(len(starts) - 1):
+        m = starts[q + 1] - 2
+        chi = [0] * lo + [-x if q % 2 else x for x in series[lo:m + 1]]
+        while chi and not chi[-1]:
+            chi.pop()
+        if starts[q + 1] == starts[q] + 1:
             if chi:
-                raise ConsistencyError("chi_%d nonzero on an empty strand of %r" % (q, t))
-        else:
-            if chi.degree > m:
-                raise ConsistencyError("deg chi_%d > %d for %r" % (q, m, t))
-            if chi.degree < m:
-                flags.append(q)
-        chis.append(chi)
-        rhs_prev = rhs
-    return chis, flags
+                raise ConsistencyError("%s_%d nonzero on an empty strand of %r" % (what, q, t))
+        elif len(chi) - 1 > m:
+            raise ConsistencyError("deg %s_%d > %d for %r" % (what, q, m, t))
+        elif len(chi) - 1 < m:
+            flags.append((what, q))
+        family.append(tuple(chi))
+        lo = m + 1
+    # Euler sum: both sides have degree <= n, so n+1 points decide it.
+    total = [0] * len(series)
+    for q, chi in enumerate(family):
+        for d, v in enumerate(newton_values(chi, 0, len(series))):
+            total[d] += -v if q % 2 else v
+    if total != newton_values(series, 0, len(series)):
+        raise ConsistencyError("%s family does not sum to its Hilbert polynomial for %r" % (what, t))
+    return family, flags
 
 
 def chi_family(t, alpha):
-    chis, chi_flags = _truncated_family(t, alpha)
-    td = t.dual()
+    n = t.n
+    chis, chi_flags = _truncated_family(DegreeSet(t.h, n - t.b, t.H), alpha.series, "chi", t)
     ad = dual_alpha(alpha)
-    psis, psi_flags = _truncated_family(td, ad)
-
-    # Euler sums: telescoping gives the Hilbert polynomial on each side.
-    p_poly = alpha.hilbert_poly()
-    if sum((c * ((-1) ** q) for q, c in enumerate(chis)), RatPoly()) != p_poly:
-        raise ConsistencyError("chi family does not sum to the Hilbert polynomial")
-    p_dual = ad.hilbert_poly()
-    if sum((c * ((-1) ** q) for q, c in enumerate(psis)), RatPoly()) != p_dual:
-        raise ConsistencyError("psi family does not sum to the dual Hilbert polynomial")
+    # The dual triplet has H* = C and the same b.
+    psis, psi_flags = _truncated_family(DegreeSet(t.c, n - t.b, t.C), ad.series, "psi", t)
     # P*(d) = (-1)^(|B|-1-n) P(-n-d); both sides have degree <= n, so
-    # agreement at n+1 points is agreement as polynomials.
-    sign = -1 if (len(t.B) - 1 - t.n) % 2 else 1
-    ev_p, ev_dual = integer_evaluator(p_poly), integer_evaluator(p_dual)
-    if any(ev_dual(x) != sign * ev_p(-t.n - x) for x in range(t.n + 1)):
+    # agreement at d = 0..n is agreement as polynomials.
+    sign = -1 if (len(t.B) - 1 - n) % 2 else 1
+    mirrored = newton_values(alpha.series, -2 * n, 1 - n)[::-1]
+    if any(v != sign * w for v, w in zip(newton_values(ad.series, 0, n + 1), mirrored)):
         raise ConsistencyError("dual Hilbert polynomial identity failed for %r" % (t,))
 
-    flags = tuple([("chi", q) for q in chi_flags] + [("psi", q) for q in psi_flags])
-    return ChiFamily(tuple(chis), tuple(psis), flags)
+    return ChiFamily(tuple(chis), tuple(psis), tuple(chi_flags + psi_flags))
 
 
 @dataclass(frozen=True)

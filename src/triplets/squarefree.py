@@ -5,16 +5,17 @@ Betti diagrams with its strand-assembly cross-check.
 For a squarefree module with vector h = (h(0), ..., h(n)) the Hilbert series
 is sum_k h(k) t^k / (1-t)^k, so the K-polynomial (series times (1-t)^n) is
 sum_k h(k) t^k (1-t)^(n-k); the transform h -> K is triangular and is
-inverted exactly.
+inverted exactly.  A sheaf class is held as the integer Newton series of its
+Hilbert polynomial (see linalg), which is exactly its decomposition in the
+twisted-structure-sheaf basis, so strand assembly never builds a polynomial.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb
 
 from .errors import ConsistencyError, DegenerateSystem
-from .linalg import RatPoly, binom_poly
+from .linalg import RatPoly, in_basis, newton_series
 from .solver import BettiDiagram, betti, chi_family, solve_alpha
 
 
@@ -36,12 +37,9 @@ def hsq_from_series(num, n):
     """Invert hsq_series: solve sum_s h(s) t^s (1-t)^(n-s) = num."""
     if num.degree > n:
         raise ValueError("numerator degree %d exceeds n = %d" % (num.degree, n))
-    h = [Fraction(0)] * (n + 1)
+    h = [0] * (n + 1)
     for s in range(n + 1):
-        acc = sum(
-            (h[k] * ((-1) ** (s - k)) * comb(n - k, s - k) for k in range(s)),
-            Fraction(0),
-        )
+        acc = sum(h[k] * ((-1) ** (s - k)) * comb(n - k, s - k) for k in range(s))
         h[s] = num.coeff(s) - acc
     return tuple(h)
 
@@ -49,18 +47,12 @@ def hsq_from_series(num, n):
 def sheaf_class_decompose(chi, delta):
     """Coefficients a_0..a_delta with chi(d) = sum_i a_i C(d+i-1, i).
 
-    Negative a_i are returned as-is (flagged by callers), never raised here.
+    This is the Newton series of chi, padded to length delta + 1.  Negative
+    a_i are returned as-is (flagged by callers), never raised here.
     """
     if chi.degree > delta:
         raise ValueError("degree %d exceeds delta = %d" % (chi.degree, delta))
-    a = [Fraction(0)] * (delta + 1)
-    work = chi
-    for i in range(delta, -1, -1):
-        a[i] = work.coeff(i) * factorial(i)
-        if a[i]:
-            work = work - binom_poly(i - 1, i) * a[i]
-    assert not work
-    return tuple(a)
+    return newton_series(in_basis(chi, delta))
 
 
 def reduction_kpoly(n, i):
@@ -80,20 +72,24 @@ def hsq_of_reduction(chi, delta, n):
     """h^sq vector of the squarefree reduction of a sheaf with Hilbert
     polynomial chi on P^delta, embedded for ambient n."""
     a = sheaf_class_decompose(chi, delta)
+    if any(x.denominator != 1 for x in a):
+        raise ConsistencyError("non-integer class coefficients %r for chi = %s" % (a, chi))
+    return _hsq_of_series(tuple(x.numerator for x in a), n)
+
+
+def _hsq_of_series(a, n):
+    """h^sq vector of the reduction of the sheaf class with Newton series a."""
     if any(x < 0 for x in a):
-        raise ConsistencyError("negative class coefficients %r for chi = %s" % (a, chi))
-    h = [Fraction(0)] * (n + 1)
+        raise ConsistencyError("negative class coefficients %r" % (a,))
+    h = [0] * (n + 1)
     for i, ai in enumerate(a):
         if ai:
-            hi = _reduction_hsq(n, i)
-            for s in range(n + 1):
-                h[s] += ai * hi[s]
-    out = []
+            for s, v in enumerate(_reduction_hsq(n, i)):
+                h[s] += ai * v
     for s, v in enumerate(h):
-        if v < 0 or v.denominator != 1:
-            raise ConsistencyError("h^sq(%d) = %s for chi = %s" % (s, v, chi))
-        out.append(int(v))
-    return tuple(out)
+        if v < 0:
+            raise ConsistencyError("h^sq(%d) = %s for class coefficients %r" % (s, v, a))
+    return tuple(h)
 
 
 def rotated_betti_via_strands(t, alpha=None, fam=None):
@@ -104,11 +100,10 @@ def rotated_betti_via_strands(t, alpha=None, fam=None):
     if fam is None:
         fam = chi_family(t, alpha)
     acc = {}
-    for chi in fam.chis:
+    for chi in fam.chi_series:
         if not chi:
             continue
-        h = hsq_of_reduction(chi, chi.degree, t.n)
-        for k, v in enumerate(h):
+        for k, v in enumerate(_hsq_of_series(chi, t.n)):
             if v:
                 acc[t.n - k] = acc.get(t.n - k, 0) + v
     entries = tuple((q, d, acc[d]) for q, d in enumerate(sorted(acc)))
@@ -128,7 +123,8 @@ def triplet_betti(t):
         cur = cur.rotate()
     degs = t.to_degree_triplet()
     for diag, expected in zip(diagrams, degs):
-        assert diag.twists() == tuple(expected)
+        if diag.twists() != tuple(expected):
+            raise ConsistencyError("Betti twists %r differ from degrees %r for %r" % (diag.twists(), expected, t))
     return tuple(diagrams)
 
 
@@ -144,29 +140,7 @@ def homological_data(t, alpha=None):
         alpha = solve_alpha(t)
     fam = chi_family(t, alpha)
 
-    def vectors(polys):
-        out = []
-        for p in polys:
-            if p:
-                out.append(hsq_of_reduction(p, p.degree, t.n))
-            else:
-                out.append((0,) * (t.n + 1))
-        return tuple(out)
+    def vectors(family):
+        return tuple(_hsq_of_series(a, t.n) for a in family)
 
-    return HomologicalData(B=betti(t, alpha), H=vectors(fam.chis), C=vectors(fam.psis))
-
-
-def betti_kpolynomial(diagram):
-    """sum_i (-1)^i beta_i t^(d_i)."""
-    out = RatPoly()
-    for i, d, r in diagram.entries:
-        out = out + RatPoly([0] * d + [(-1) ** i * r])
-    return out
-
-
-def hsq_kpolynomial(hvectors, n):
-    """sum_q (-1)^q sum_s h_q(s) t^s (1-t)^(n-s)."""
-    out = RatPoly()
-    for q, h in enumerate(hvectors):
-        out = out + hsq_series(h) * ((-1) ** q)
-    return out
+    return HomologicalData(B=betti(t, alpha), H=vectors(fam.chi_series), C=vectors(fam.psi_series))

@@ -7,6 +7,9 @@ A full table has three regions:
   * corner, twists -n..0:   entry(d_q - q, -q) = (-1)^q alpha_{d_q};
   * positive twists t >= 1: entry(-q, -q + t) = chi_q(t);
   * twists t <= -n-1:       entry(n+1-|B|+q, row + t) = psi_q(-n - t).
+The polynomials arrive as integer Newton series (see solver), and each row
+of values is one run of consecutive integer points, so cells are filled by
+prefix sums of differences without building a polynomial.
 """
 
 import json
@@ -15,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ConsistencyError
-from .linalg import integer_evaluator
+from .linalg import newton_values
 from .solver import chi_family, solve_alpha
 
 DOT = "."
@@ -53,7 +56,8 @@ class HyperTable:
         """sum_j (-1)^j entry(j, j + t) over the given rows."""
         if rows is None:
             rows = [j for j, _, _ in self.entries]
-        return sum((-1 if j % 2 else 1) * self.dim(j, t) for j in sorted(set(rows)))
+        cells = self.as_dict()
+        return sum((-1 if j % 2 else 1) * cells.get((j, j + t), 0) for j in set(rows))
 
     def to_json(self):
         return json.dumps(
@@ -105,26 +109,25 @@ def full_table(t, alpha=None, window=None, fam=None):
             raise ConsistencyError("negative %s entry at (%d, %d)" % (what, j, p))
         if v:
             key = (j, p)
-            assert key not in cells, "region collision at %r" % (key,)
+            if key in cells:
+                raise ConsistencyError("region collision at %r" % (key,))
             cells[key] = v
 
     for q, d in enumerate(t.B):
         if lo <= -q <= hi:
             put(d - q, -q, (-1) ** q * alpha.values[d], "corner")
-    for q, chi in enumerate(fam.chis):
-        if not chi:
-            continue
-        ev = integer_evaluator(chi)
-        for p in range(max(lo, -q + 1), hi + 1):
-            put(-q, p, ev(p + q), "homology")
+    # Row -q holds chi_q(p + q) in column p.
+    for q, chi in enumerate(fam.chi_series):
+        first = max(lo, -q + 1)
+        for p, v in enumerate(newton_values(chi, first + q, hi + q + 1), first):
+            put(-q, p, v, "homology")
+    # Row n+1-|B|+q holds psi_q(row - n - p) in column p, p descending.
     base = t.n + 1 - len(t.B)
-    for q, psi in enumerate(fam.psis):
-        if not psi:
-            continue
+    for q, psi in enumerate(fam.psi_series):
         row = base + q
-        ev = integer_evaluator(psi)
-        for p in range(lo, min(hi, row - t.n - 1) + 1):
-            put(row, p, ev(-t.n - (p - row)), "dual")
+        last = min(hi, row - t.n - 1)
+        for p, v in enumerate(newton_values(psi, row - t.n - last, row - t.n - lo + 1)):
+            put(row, last - p, v, "dual")
 
     table = HyperTable.build(window, cells)
     _assert_euler(table, t, alpha)
@@ -132,13 +135,14 @@ def full_table(t, alpha=None, window=None, fam=None):
 
 
 def _assert_euler(table, t, alpha):
-    p_ev = integer_evaluator(alpha.hilbert_poly())
     lo, hi = table.window
     rows = list(range(-t.s_H, t.n + 2 - len(t.B) + t.s_C + 1)) + [d - q for q, d in enumerate(t.B)]
     rows = sorted(set(rows))
     # Only twists whose whole diagonal lies inside the window can be checked.
-    for twist in range(lo - min(rows), hi - max(rows) + 1):
-        if table.euler(twist, rows) != p_ev(twist):
+    first = lo - min(rows)
+    p_vals = newton_values(alpha.series, first, hi - max(rows) + 1)
+    for twist, value in enumerate(p_vals, first):
+        if table.euler(twist, rows) != value:
             raise ConsistencyError("Euler consistency fails at twist %d for %r" % (twist, t))
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from triplets import HyperTable, Overdetermined, validate_triplet
+from triplets import ConsistencyError, HyperTable, Overdetermined, validate_triplet
 from triplets.cli import main
 
 T64_ARGS = ["--n", "4", "--B", "0,1,2", "--H", "0,2,4", "--C", "2,3,4"]
@@ -168,6 +168,30 @@ def test_degeneracy_exit_3(capsys, monkeypatch):
     code, out, err = run(capsys, "solve", *T64_ARGS)
     assert code == 3
     assert "solver degeneracy" in err
+
+
+def test_consistency_error_exit_4(capsys, monkeypatch):
+    def boom(_):
+        raise ConsistencyError("sign convention violated at q=1")
+
+    monkeypatch.setattr("triplets.cli.solve_alpha", boom)
+    code, out, err = run(capsys, "solve", *T64_ARGS)
+    assert code == 4
+    assert out == ""
+    assert err == "consistency check failed: sign convention violated at q=1\n"
+
+
+def test_zip_zero_denominator_scale_exit_64(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zip", "--roots=-1,-2", "--n", "4", "--scale", "1/0"])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert "--scale" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "zip", "--roots=-1,-2", "--n", "4", "--scale", "4/2", "--json")
+    assert code == 0 and json.loads(out)["scale"] == "2"
+    # A scale that makes a rank non-integral fails a consistency check.
+    code, out, err = run(capsys, "zip", "--roots=-1,-2", "--n", "4", "--scale", "3/2")
+    assert code == 4 and out == "" and len(err.splitlines()) == 1
 
 
 def test_byte_identical_reruns(capsys):

@@ -17,7 +17,7 @@ from triplets import (
     nullspace,
     primitive_normalize,
 )
-from triplets.linalg import integer_evaluator, row_echelon
+from triplets.linalg import newton_poly, newton_series, newton_values, row_echelon
 
 
 def test_ratpoly_arithmetic():
@@ -136,6 +136,10 @@ def test_nullspace_goldens():
     sys64 = RatMatrix([[1, 1, 0], [1, 3, 3]], 3)
     (v,) = nullspace(sys64)
     assert primitive_normalize(v, 0) == (3, -3, 2)
+    # Basis vectors are primitive integer vectors, positive in the free column.
+    (v,) = nullspace(RatMatrix([[2, 4, 0], [0, Fraction(1, 3), Fraction(2, 3)]], 3))
+    assert v == (4, -2, 1) and all(type(x) is int for x in v)
+    assert nullspace(RatMatrix([[0, 0]], 2)) == [(1, 0), (0, 1)]
 
 
 def _naive_nullspace(rows, ncols):
@@ -195,11 +199,30 @@ def test_primitive_normalize():
         primitive_normalize((0, 1), 0)
 
 
-def test_integer_evaluator():
+def test_newton_values():
     p = binom_poly(3, 4) * 3  # 3*C(d+3, 4), integer-valued
-    ev = integer_evaluator(p)
-    for d in range(-6, 7):
-        assert ev(d) == p(d)
-    half = integer_evaluator(RatPoly([Fraction(1, 2)]))
-    with pytest.raises(ValueError):
-        half(0)
+    assert newton_poly((0, 0, 0, 0, 3)) == p
+    assert newton_values((0, 0, 0, 0, 3), -6, 7) == [p(d) for d in range(-6, 7)]
+    assert newton_values((), -2, 2) == [0, 0, 0, 0]
+    assert newton_values((5,), 3, 1) == []
+    rng = random.Random(3)
+    for _ in range(200):
+        a = [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 8))]
+        start = rng.randrange(-15, 8)
+        stop = start + rng.randrange(0, 15)
+        q = newton_poly(a)
+        assert newton_values(a, start, stop) == [q(d) for d in range(start, stop)]
+
+
+def test_newton_series_is_degree_drop_rows():
+    # a_{n-j} is row j of the degree-drop system applied to alpha, a_0 is
+    # alpha_0, and the series sums back to from_basis(alpha, n).
+    rng = random.Random(9)
+    for _ in range(100):
+        n = rng.randrange(1, 8)
+        alpha = [rng.randrange(-9, 10) for _ in range(n + 1)]
+        a = newton_series(alpha)
+        rows = degree_drop_equations(n, n).rows
+        assert [sum(x * c for x, c in zip(alpha, row)) for row in rows] == list(a[:0:-1])
+        assert a[0] == alpha[0]
+        assert newton_poly(a) == from_basis(alpha, n)

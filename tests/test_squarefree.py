@@ -21,7 +21,9 @@ from triplets import (
     triplet_betti,
     validate_triplet,
 )
-from triplets.squarefree import betti_kpolynomial, hsq_kpolynomial, reduction_kpoly
+from triplets.squarefree import reduction_kpoly
+
+from oracles import betti_kpolynomial, hsq_kpolynomial
 
 
 def test_hsq_series_goldens():

@@ -13,7 +13,6 @@ from triplets import (
     validate_triplet,
     zip_terms,
 )
-from triplets.linalg import integer_evaluator
 from triplets.tables import default_window
 
 T64_RENDER = (
@@ -75,7 +74,7 @@ def test_window_validation(t64):
 
 
 def test_euler_method(t64, t64_table):
-    p = integer_evaluator(solve_alpha(t64).hilbert_poly())
+    p = solve_alpha(t64).hilbert_poly()
     for twist in range(-7, 2):
         assert t64_table.euler(twist) == p(twist)
 
