@@ -8,14 +8,17 @@ that, with h = min H, c = min C, b = n - max H:
   * n = b + h + c + i_B + s_H + s_C  (spans taken inside those intervals);
   * (B, H) is balanced over [h, n], (refl B, C) over [c, n], and
     (refl H, refl C) over [b, n].
+
+`enumerate_triplets` is a lazy iterator in lexicographic (B, H, C) order:
+it walks the candidate subsets in that order and builds each triplet it
+yields through the full validation, holding nothing but the candidates.
 """
 
-import itertools
 import json
 import os
 from dataclasses import dataclass
 
-from .degsets import DegreeSet, is_balanced, reflect, strands
+from .degsets import balanced, reflect
 from .errors import ConsistencyError, TripletError
 
 MAX_N_ENV = "TRIPLETS_MAX_N"
@@ -54,11 +57,11 @@ class HomologyTriplet:
 
     @property
     def s_H(self):
-        return strands(DegreeSet(self.h, self.n - self.b, self.H)).span
+        return (self.n - self.b - self.h + 1) - len(self.H)
 
     @property
     def s_C(self):
-        return strands(DegreeSet(self.c, self.n - self.b, self.C)).span
+        return (self.n - self.b - self.c + 1) - len(self.C)
 
     def rotate(self):
         return HomologyTriplet(self.n, reflect(self.H, self.n), reflect(self.C, self.n), self.B)
@@ -76,6 +79,13 @@ class HomologyTriplet:
     @classmethod
     def from_json(cls, line):
         d = json.loads(line)
+        if not isinstance(d, dict) or not {"n", "B", "H", "C"} <= d.keys():
+            raise TripletError("record", "expected an object with keys n, B, H, C: %s" % line.strip())
+        if type(d["n"]) is not int:
+            raise TripletError("record", "n must be an integer, got %r" % (d["n"],))
+        for name in "BHC":
+            if type(d[name]) is not list or any(type(x) is not int for x in d[name]):
+                raise TripletError("record", "%s must be a list of integers, got %r" % (name, d[name]))
         return cls(d["n"], tuple(d["B"]), tuple(d["H"]), tuple(d["C"]))
 
 
@@ -84,7 +94,7 @@ def _check(t):
     for name, ms in (("B", t.B), ("H", t.H), ("C", t.C)):
         if not ms:
             raise TripletError("interval", "%s is empty" % name)
-        if any(y <= x for x, y in zip(ms, ms[1:])):
+        if ms != tuple(sorted(set(ms))):
             raise TripletError("interval", "%s not strictly increasing: %r" % (name, ms))
         if ms[0] < 0 or ms[-1] > n:
             raise TripletError("interval", "%s = %r not within [0, %d]" % (name, ms, n))
@@ -108,14 +118,11 @@ def _check(t):
             "n = %d but b+h+c+i_B+s_H+s_C = %d+%d+%d+%d+%d+%d" % (n, b, h, c, i_b, s_h, s_c),
         )
 
-    refl_b = reflect(t.B, n)
-    refl_h = reflect(t.H, n)
-    refl_c = reflect(t.C, n)
-    if not is_balanced(DegreeSet(h, n, t.B), DegreeSet(h, n, t.H)):
+    if not balanced(h, n, t.B, t.H):
         raise TripletError("balanced_BH", "(B, H) not balanced over [%d, %d]" % (h, n))
-    if not is_balanced(DegreeSet(c, n, refl_b), DegreeSet(c, n, t.C)):
+    if not balanced(c, n, reflect(t.B, n), t.C):
         raise TripletError("balanced_BC", "(refl B, C) not balanced over [%d, %d]" % (c, n))
-    if not is_balanced(DegreeSet(b, n, refl_h), DegreeSet(b, n, refl_c)):
+    if not balanced(b, n, reflect(t.H, n), reflect(t.C, n)):
         raise TripletError("balanced_HC", "(refl H, refl C) not balanced over [%d, %d]" % (b, n))
 
     if s_h + s_c + b != len(t.B) - 1:
@@ -127,61 +134,50 @@ def validate_triplet(n, B, H, C):
     return HomologyTriplet(n, tuple(sorted(B)), tuple(sorted(H)), tuple(sorted(C)))
 
 
-def _subsets_with_endpoints(lo, hi):
-    """Subsets of [lo, hi] containing both endpoints, grouped by span."""
-    by_span = {}
-    if lo > hi:
-        return by_span
-    if lo == hi:
-        return {0: [(lo,)]}
-    interior = range(lo + 1, hi)
-    for r in range(len(interior) + 1):
-        for mid in itertools.combinations(interior, r):
-            ms = (lo,) + mid + (hi,)
-            span = (hi - lo + 1) - len(ms)
-            by_span.setdefault(span, []).append(ms)
-    return by_span
+def _candidates(n):
+    """(X, span, refl X) for every nonempty subset X of [0, n], grouped by
+    min X, each group in lexicographic order (preorder of the increasing
+    sequences)."""
+    out = [[] for _ in range(n + 1)]
+
+    def extend(ms):
+        out[ms[0]].append((ms, (ms[-1] - ms[0] + 1) - len(ms), reflect(ms, n)))
+        for x in range(ms[-1] + 1, n + 1):
+            extend(ms + (x,))
+
+    for lo in range(n + 1):
+        extend((lo,))
+    return out
 
 
 def enumerate_triplets(n, max_n=None):
-    """All homology triplets of type n, in lexicographic (B, H, C) order."""
+    """Lazy iterator over all homology triplets of type n, in lexicographic
+    (B, H, C) order; memory is bounded by the 2^(n+1) - 1 candidate sets."""
     if max_n is None:
         max_n = int(os.environ.get(MAX_N_ENV, DEFAULT_MAX_N))
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > max_n:
         raise ValueError("enumeration refused: n = %d exceeds bound %d (set %s to raise it)" % (n, max_n, MAX_N_ENV))
+    return _enumerate(n)
 
-    found = []
-    for h in range(n + 1):
-        for c in range(n + 1 - h):
-            for b in range(n + 1 - h - c):
-                e = n - h - c - b
-                if h > n - c or h > n - b or c > n - b:
+
+def _enumerate(n):
+    cands = _candidates(n)
+    # C candidates by (min, max, span): min C = c, max C = n - b, span s_C.
+    by_shape = {}
+    for group in cands:
+        for C, s_c, refl_c in group:
+            by_shape.setdefault((C[0], C[-1], s_c), []).append((C, refl_c))
+    for h, group in enumerate(cands):
+        for B, i_b, refl_b in group:
+            c = n - B[-1]
+            rem = n - h - c - i_b  # = b + s_H + s_C
+            for H, s_h, refl_h in group:
+                b = n - H[-1]
+                Cs = by_shape.get((c, H[-1], rem - b - s_h))
+                if not Cs or not balanced(h, n, B, H):
                     continue
-                bs = _subsets_with_endpoints(h, n - c)
-                hs = _subsets_with_endpoints(h, n - b)
-                cs = _subsets_with_endpoints(c, n - b)
-                for i_b, b_sets in bs.items():
-                    rem = e - i_b
-                    if rem < 0:
-                        continue
-                    for B in b_sets:
-                        set_b = DegreeSet(h, n, B)
-                        refl_b = DegreeSet(c, n, reflect(B, n))
-                        for s_h in range(rem + 1):
-                            s_c = rem - s_h
-                            if s_h not in hs or s_c not in cs:
-                                continue
-                            for H in hs[s_h]:
-                                if not is_balanced(set_b, DegreeSet(h, n, H)):
-                                    continue
-                                refl_h = DegreeSet(b, n, reflect(H, n))
-                                for C in cs[s_c]:
-                                    if not is_balanced(refl_b, DegreeSet(c, n, C)):
-                                        continue
-                                    if not is_balanced(refl_h, DegreeSet(b, n, reflect(C, n))):
-                                        continue
-                                    found.append(HomologyTriplet(n, B, H, C))
-    found.sort(key=lambda t: (t.B, t.H, t.C))
-    return found
+                for C, refl_c in Cs:
+                    if balanced(c, n, refl_b, C) and balanced(b, n, refl_h, refl_c):
+                        yield HomologyTriplet(n, B, H, C)

@@ -11,8 +11,6 @@ s = number of nondegrees.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ConsistencyError
-
 
 @dataclass(frozen=True)
 class DegreeSet:
@@ -65,13 +63,15 @@ def reflect(members, n):
     return ms
 
 
-def _balanced_by_prefix(X, Y):
-    # For every u in [lo, hi]: #(X cap [lo,u]) > #([lo,u] \ Y).
-    xs = set(X.members)
-    ys = set(Y.members)
+@lru_cache(maxsize=65536)
+def balanced(lo, hi, X, Y):
+    """Whether subsets X, Y of [lo, hi] (plain tuples) form a balanced pair:
+    for every u in [lo, hi], #(X cap [lo,u]) > #([lo,u] minus Y)."""
+    xs = set(X)
+    ys = set(Y)
     in_x = 0
     out_y = 0
-    for u in range(X.lo, X.hi + 1):
+    for u in range(lo, hi + 1):
         in_x += u in xs
         out_y += u not in ys
         if in_x <= out_y:
@@ -79,30 +79,8 @@ def _balanced_by_prefix(X, Y):
     return True
 
 
-def _balanced_by_strand_starts(X, Y):
-    # Degrees lo = d_0 < d_1 < ... of X against strand starts
-    # lo = y_0 < y_1 < ... < y_s of Y: balanced iff y_i > d_i for i = 1..s.
-    if X.members[0] != X.lo or Y.members[0] != Y.lo:
-        return False
-    y = strands(Y).starts
-    d = X.members
-    s = len(y) - 2
-    if len(d) < s + 1:
-        return False
-    return all(y[i] > d[i] for i in range(1, s + 1))
-
-
-@lru_cache(maxsize=65536)
 def is_balanced(X, Y):
-    """Whether (X, Y) is a balanced pair over their common interval.
-
-    Evaluates both the prefix-count condition and the strand-start
-    criterion and raises ConsistencyError if they disagree.
-    """
+    """Whether (X, Y) is a balanced pair of DegreeSets over their common interval."""
     if (X.lo, X.hi) != (Y.lo, Y.hi):
         raise ValueError("mismatched intervals: [%d,%d] vs [%d,%d]" % (X.lo, X.hi, Y.lo, Y.hi))
-    a = _balanced_by_prefix(X, Y)
-    b = _balanced_by_strand_starts(X, Y)
-    if a != b:
-        raise ConsistencyError("balancedness criteria disagree on %r, %r" % (X, Y))
-    return a
+    return balanced(X.lo, X.hi, X.members, Y.members)

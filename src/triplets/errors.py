@@ -5,7 +5,9 @@ class TripletError(ValueError):
     """A (B, H, C) candidate fails one of the defining clauses.
 
     `clause` names the failed clause: one of "interval", "endpoints",
-    "count", "balanced_BH", "balanced_BC", "balanced_HC".
+    "count", "balanced_BH", "balanced_BC", "balanced_HC", or "record" for a
+    JSON record that is not an object with an integer n and integer lists
+    B, H, C.
     """
 
     def __init__(self, clause, message):

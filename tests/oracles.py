@@ -5,6 +5,20 @@ against.  They are slow on purpose: plain RatPoly arithmetic, no shortcuts.
 from triplets import DegreeSet, RatPoly, basis_poly, dual_alpha, hsq_series, strands
 
 
+def balanced_by_strand_starts(X, Y):
+    """Balance of DegreeSets X, Y over [lo, hi] by the strand-start criterion:
+    degrees lo = d_0 < d_1 < ... of X against the strand starts
+    lo = y_0 < y_1 < ... < y_s of Y, balanced iff y_i > d_i for i = 1..s."""
+    if X.members[0] != X.lo or Y.members[0] != Y.lo:
+        return False
+    y = strands(Y).starts
+    d = X.members
+    s = len(y) - 2
+    if len(d) < s + 1:
+        return False
+    return all(y[i] > d[i] for i in range(1, s + 1))
+
+
 def betti_kpolynomial(diagram):
     """sum_i (-1)^i beta_i t^(d_i)."""
     out = RatPoly()

@@ -105,6 +105,22 @@ def test_stdin_batch(capsys, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("record", [
+    '[4, [0, 1, 2], [0, 2, 4], [2, 3, 4]]',  # not an object
+    '{"n": 4}',  # missing keys
+    '{"n": "4", "B": [0, 1, 2], "H": [0, 2, 4], "C": [2, 3, 4]}',  # n a string
+    '{"n": true, "B": [0, 1], "H": [0, 1], "C": [0, 1]}',  # n a bool
+    '{"n": 4, "B": "x", "H": [0, 2, 4], "C": [2, 3, 4]}',  # B not a list
+    '{"n": 4, "B": [0, 1, 2], "H": [0, 2.0, 4], "C": [2, 3, 4]}',  # H not all ints
+])
+def test_malformed_stdin_record_exit_2(capsys, monkeypatch, record):
+    monkeypatch.setattr("sys.stdin", io.StringIO(record + "\n"))
+    code, out, err = run(capsys, "solve", "--stdin", "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid triplet (record: ") and len(err.splitlines()) == 1
+
+
 def test_zip_command(capsys):
     code, out, _ = run(capsys, "zip", "--roots=-1,-2", "--n", "4", "--json")
     assert code == 0

@@ -7,6 +7,7 @@ from triplets import (
     DegreeSet,
     HomologyTriplet,
     TripletError,
+    core,
     enumerate_triplets,
     is_balanced,
     reflect,
@@ -64,7 +65,28 @@ def test_json_roundtrip(t64):
 
 def test_enumerate_counts():
     for n, count in GOLDEN_COUNTS.items():
-        assert len(enumerate_triplets(n)) == count
+        assert len(list(enumerate_triplets(n))) == count
+
+
+def test_enumerate_n7_count_and_strict_order():
+    prev = None
+    count = 0
+    for t in enumerate_triplets(7):
+        key = (t.B, t.H, t.C)
+        assert prev is None or prev < key
+        prev = key
+        count += 1
+    assert count == 28062
+
+
+def test_enumerate_is_lazy(monkeypatch):
+    built = []
+    monkeypatch.setattr(core, "_check", built.append)
+    t = next(iter(enumerate_triplets(8)))
+    assert built == [t]  # one triplet built, not the 175560 of the census
+    assert (t.B, t.H, t.C) == ((0,), tuple(range(9)), (8,))
+    with pytest.raises(ValueError):
+        enumerate_triplets(9, max_n=8)  # raised by the call, before any next()
 
 
 def brute_force_triplets(n):
@@ -81,14 +103,14 @@ def brute_force_triplets(n):
     return sorted(found, key=lambda t: (t.B, t.H, t.C))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_enumerate_matches_brute_force(n):
-    assert enumerate_triplets(n) == brute_force_triplets(n)
+    assert list(enumerate_triplets(n)) == brute_force_triplets(n)
 
 
 def test_enumerate_sorted_and_closed_under_symmetries():
     for n in range(1, 6):
-        ts = enumerate_triplets(n)
+        ts = list(enumerate_triplets(n))
         assert ts == sorted(ts, key=lambda t: (t.B, t.H, t.C))
         as_set = set(ts)
         for t in ts:
@@ -112,7 +134,8 @@ def test_enumerate_guard(monkeypatch):
     monkeypatch.setenv("TRIPLETS_MAX_N", "2")
     with pytest.raises(ValueError):
         enumerate_triplets(3)
-    assert enumerate_triplets(3, max_n=3)  # explicit bound overrides the env
+    # explicit bound overrides the env
+    assert len(list(enumerate_triplets(3, max_n=3))) == GOLDEN_COUNTS[3]
 
 
 def test_count_equation_lemma():

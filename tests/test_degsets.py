@@ -1,9 +1,10 @@
-import random
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import balanced_by_strand_starts
 from triplets import DegreeSet, is_balanced, reflect, strands
 
 
@@ -61,25 +62,23 @@ def test_balanced_requires_matching_intervals():
         is_balanced(DegreeSet(0, 3, (0, 1)), DegreeSet(0, 4, (0, 1)))
 
 
-def _random_subset(rng, lo, hi):
-    members = [u for u in range(lo, hi + 1) if rng.random() < 0.6]
-    return DegreeSet(lo, hi, tuple(members)) if members else None
+def _nonempty_subsets(lo, hi):
+    pts = range(lo, hi + 1)
+    return [DegreeSet(lo, hi, ms) for r in range(1, len(pts) + 1) for ms in itertools.combinations(pts, r)]
 
 
 def test_balanced_criteria_agree_bulk():
-    # is_balanced itself asserts that the prefix-count condition and the
-    # strand-start criterion coincide; drive it over 10^4 random pairs.
-    rng = random.Random(20240817)
+    # The prefix criterion of the library against the strand-start oracle on
+    # every pair of nonempty subsets of [lo, 7], lo = 0..7: every interval of
+    # length <= 8, and every balance query the n <= 7 enumeration makes.
     checked = 0
-    while checked < 10_000:
-        lo = rng.randrange(0, 4)
-        hi = lo + rng.randrange(0, 8)
-        X = _random_subset(rng, lo, hi)
-        Y = _random_subset(rng, lo, hi)
-        if X is None or Y is None:
-            continue
-        is_balanced(X, Y)
-        checked += 1
+    for lo in range(8):
+        sets = _nonempty_subsets(lo, 7)
+        for X in sets:
+            for Y in sets:
+                assert is_balanced(X, Y) == balanced_by_strand_starts(X, Y), (X, Y)
+                checked += 1
+    assert checked == sum((2**k - 1) ** 2 for k in range(1, 9))
 
 
 @st.composite
