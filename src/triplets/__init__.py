@@ -15,7 +15,7 @@ from .classical import (
     tensor_roots,
 )
 from .core import HomologyTriplet, enumerate_triplets, validate_triplet
-from .degsets import DegreeSet, StrandDecomposition, is_balanced, reflect, strands
+from .degsets import balanced, reflect, strand_starts
 from .errors import (
     ConsistencyError,
     DegenerateSystem,

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
+from .errors import ConsistencyError
 from .linalg import RatPoly
-from .tables import HyperTable, _as_int
+from .tables import HyperTable
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,12 @@ class RootSequence:
     @property
     def delta(self):
         return len(self.roots)
+
+
+def _as_int(x, what):
+    if x.denominator != 1:
+        raise ConsistencyError("%s is not an integer: %s" % (what, x))
+    return x.numerator
 
 
 def supernatural_poly(rs):

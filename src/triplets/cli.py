@@ -60,7 +60,7 @@ def _add_triplet_args(p):
 
 def _triplets_from(args, parser):
     if args.stdin:
-        return [HomologyTriplet.from_json(line) for line in sys.stdin if line.strip()]
+        return (HomologyTriplet.from_json(line) for line in sys.stdin if line.strip())
     if args.n is None or args.B is None or args.H is None or args.C is None:
         parser.error("--n, --B, --H, --C are required (or use --stdin)")
     return [validate_triplet(args.n, args.B, args.H, args.C)]

@@ -78,7 +78,10 @@ class HomologyTriplet:
 
     @classmethod
     def from_json(cls, line):
-        d = json.loads(line)
+        try:
+            d = json.loads(line)
+        except json.JSONDecodeError:
+            raise TripletError("record", "not JSON: %s" % line.strip()) from None
         if not isinstance(d, dict) or not {"n", "B", "H", "C"} <= d.keys():
             raise TripletError("record", "expected an object with keys n, B, H, C: %s" % line.strip())
         if type(d["n"]) is not int:

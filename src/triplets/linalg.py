@@ -173,20 +173,14 @@ def newton_values(a, start, stop):
     return vals[start - origin:stop - origin]
 
 
-def degree_drop_equations(n, b, alternative=False):
+def degree_drop_equations(n, b):
     """Rows whose joint vanishing says from_basis(alpha, n) has degree <= n-b.
 
-    Row j (j = 0..b-1) is sum_i alpha_i C(n-j, i) = 0; the alternative form
-    is sum_{i>=j} alpha_i C(n-j, i-j) = 0 and spans the same row space.
+    Row j (j = 0..b-1) is sum_i alpha_i C(n-j, i) = 0.
     """
     if not 0 <= b <= n:
         raise ValueError("need 0 <= b <= n")
-    rows = []
-    for j in range(b):
-        if alternative:
-            rows.append([comb(n - j, i - j) if i >= j else 0 for i in range(n + 1)])
-        else:
-            rows.append([comb(n - j, i) for i in range(n + 1)])
+    rows = [[comb(n - j, i) for i in range(n + 1)] for j in range(b)]
     return RatMatrix(rows, n + 1)
 
 

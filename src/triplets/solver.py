@@ -11,7 +11,9 @@ exactly s_H + s_C + b = |B| - 1 rows.
 Downstream, the Hilbert polynomial is its integer Newton series A (see
 linalg), A_r = sum_i alpha_i C(r, i): the H-rows say A_r = 0 off H, chi_q
 is (-1)^q times the slice of A on the q-th strand of H, and psi_q is the
-same on the dual alpha.  Polynomials are built only for display.
+same on the dual alpha.  The strands come from degsets.strand_starts on the
+validated tuples H over [h, n-b] and C over [c, n-b].  Polynomials
+(hilbert_poly, chis, psis) are built from the series, and only for display.
 """
 
 import json
@@ -19,9 +21,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
 
-from .degsets import DegreeSet, strands
+from .degsets import strand_starts
 from .errors import ConsistencyError, Overdetermined, Underdetermined
-from .linalg import RatMatrix, from_basis, newton_poly, newton_series, newton_values, nullspace, primitive_normalize
+from .linalg import RatMatrix, newton_poly, newton_series, newton_values, nullspace, primitive_normalize
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,7 @@ class AlphaVector:
         return newton_series(self.values)
 
     def hilbert_poly(self):
-        return from_basis(self.values, self.n)
+        return newton_poly(self.series)
 
     def to_json(self):
         return json.dumps({"n": self.n, "support": list(self.support), "alpha": list(self.on_support())})
@@ -115,21 +117,22 @@ class ChiFamily:
         return tuple(map(newton_poly, self.psi_series))
 
 
-def _truncated_family(X, series, what, t):
+def _truncated_family(lo, hi, X, series, what, t):
     """chi_q = (-1)^q sum_{m_q < i <= m_{q+1}} A_i C(d+i-1, i), where
-    m_q = x_q - 2 for the strand starts x_q of the degree set X and m_0 = -1.
+    m_q = x_q - 2 for the strand starts x_q of the degree set X in [lo, hi]
+    and m_0 = -1.
 
     The partial sum up to m_p interpolates the Hilbert polynomial through the
     points 0..-m_p, so chi_q is the difference of two interpolants, and the
     alternating sum of the family telescopes to the Hilbert polynomial.
     """
-    starts = strands(X).starts
+    starts = strand_starts(lo, hi, X)
     family = []
     flags = []
-    lo = 0
+    first = 0
     for q in range(len(starts) - 1):
         m = starts[q + 1] - 2
-        chi = [0] * lo + [-x if q % 2 else x for x in series[lo:m + 1]]
+        chi = [0] * first + [-x if q % 2 else x for x in series[first:m + 1]]
         while chi and not chi[-1]:
             chi.pop()
         if starts[q + 1] == starts[q] + 1:
@@ -140,7 +143,7 @@ def _truncated_family(X, series, what, t):
         elif len(chi) - 1 < m:
             flags.append((what, q))
         family.append(tuple(chi))
-        lo = m + 1
+        first = m + 1
     # Euler sum: both sides have degree <= n, so n+1 points decide it.
     total = [0] * len(series)
     for q, chi in enumerate(family):
@@ -153,10 +156,10 @@ def _truncated_family(X, series, what, t):
 
 def chi_family(t, alpha):
     n = t.n
-    chis, chi_flags = _truncated_family(DegreeSet(t.h, n - t.b, t.H), alpha.series, "chi", t)
+    chis, chi_flags = _truncated_family(t.h, n - t.b, t.H, alpha.series, "chi", t)
     ad = dual_alpha(alpha)
     # The dual triplet has H* = C and the same b.
-    psis, psi_flags = _truncated_family(DegreeSet(t.c, n - t.b, t.C), ad.series, "psi", t)
+    psis, psi_flags = _truncated_family(t.c, n - t.b, t.C, ad.series, "psi", t)
     # P*(d) = (-1)^(|B|-1-n) P(-n-d); both sides have degree <= n, so
     # agreement at d = 0..n is agreement as polynomials.
     sign = -1 if (len(t.B) - 1 - n) % 2 else 1

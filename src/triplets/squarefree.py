@@ -7,11 +7,12 @@ is sum_k h(k) t^k / (1-t)^k, so the K-polynomial (series times (1-t)^n) is
 sum_k h(k) t^k (1-t)^(n-k); the transform h -> K is triangular and is
 inverted exactly.  A sheaf class is held as the integer Newton series of its
 Hilbert polynomial (see linalg), which is exactly its decomposition in the
-twisted-structure-sheaf basis, so strand assembly never builds a polynomial.
+twisted-structure-sheaf basis.  The reduction of O_{P^i} has K-polynomial
+C(n, i) t^i (1-t)^(n-i), so its h^sq vector is C(n, i) e_i and strand
+assembly is a_i C(n, i) in place, with no polynomial built.
 """
 
 from dataclasses import dataclass
-from functools import cache
 from math import comb
 
 from .errors import ConsistencyError, DegenerateSystem
@@ -55,19 +56,6 @@ def sheaf_class_decompose(chi, delta):
     return newton_series(in_basis(chi, delta))
 
 
-def reduction_kpoly(n, i):
-    """K_i(t) = sum_k (-1)^k C(n, i+k) C(i+k, k) t^(i+k)."""
-    coeffs = [0] * (n + 1)
-    for k in range(n - i + 1):
-        coeffs[i + k] = (-1) ** k * comb(n, i + k) * comb(i + k, k)
-    return RatPoly(coeffs)
-
-
-@cache
-def _reduction_hsq(n, i):
-    return hsq_from_series(reduction_kpoly(n, i), n)
-
-
 def hsq_of_reduction(chi, delta, n):
     """h^sq vector of the squarefree reduction of a sheaf with Hilbert
     polynomial chi on P^delta, embedded for ambient n."""
@@ -81,15 +69,7 @@ def _hsq_of_series(a, n):
     """h^sq vector of the reduction of the sheaf class with Newton series a."""
     if any(x < 0 for x in a):
         raise ConsistencyError("negative class coefficients %r" % (a,))
-    h = [0] * (n + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for s, v in enumerate(_reduction_hsq(n, i)):
-                h[s] += ai * v
-    for s, v in enumerate(h):
-        if v < 0:
-            raise ConsistencyError("h^sq(%d) = %s for class coefficients %r" % (s, v, a))
-    return tuple(h)
+    return tuple(a[i] * comb(n, i) if i < len(a) else 0 for i in range(n + 1))
 
 
 def rotated_betti_via_strands(t, alpha=None, fam=None):

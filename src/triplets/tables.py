@@ -14,7 +14,7 @@ prefix sums of differences without building a polynomial.
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .errors import ConsistencyError
@@ -35,15 +35,12 @@ class HyperTable:
         return cls(tuple(window), items)
 
     def cell(self, j, p):
-        return self.as_dict().get((j, p), 0)
+        return self.as_dict.get((j, p), 0)
 
+    @cached_property
     def as_dict(self):
-        try:
-            return object.__getattribute__(self, "_map")
-        except AttributeError:
-            m = {(j, p): v for j, p, v in self.entries}
-            object.__setattr__(self, "_map", m)
-            return m
+        """{(j, p): dim} over the nonzero cells."""
+        return {(j, p): v for j, p, v in self.entries}
 
     def dim(self, j, twist):
         """Cohomology function (j, twist) -> dim; 0 outside the window."""
@@ -56,7 +53,7 @@ class HyperTable:
         """sum_j (-1)^j entry(j, j + t) over the given rows."""
         if rows is None:
             rows = [j for j, _, _ in self.entries]
-        cells = self.as_dict()
+        cells = self.as_dict
         return sum((-1 if j % 2 else 1) * cells.get((j, j + t), 0) for j in set(rows))
 
     def to_json(self):
@@ -77,15 +74,6 @@ class HyperTable:
         return render(self)
 
 
-def _as_int(x, what):
-    if isinstance(x, int):
-        return x
-    x = Fraction(x)
-    if x.denominator != 1:
-        raise ConsistencyError("%s is not an integer: %s" % (what, x))
-    return int(x)
-
-
 def default_window(n):
     return (-n - 6, 5)
 
@@ -104,7 +92,6 @@ def full_table(t, alpha=None, window=None, fam=None):
     cells = {}
 
     def put(j, p, v, what):
-        v = _as_int(v, what)
         if v < 0:
             raise ConsistencyError("negative %s entry at (%d, %d)" % (what, j, p))
         if v:
@@ -152,7 +139,7 @@ def corner_table(t, alpha=None):
         alpha = solve_alpha(t)
     cells = {}
     for q, d in enumerate(t.B):
-        cells[(d - q, -q)] = _as_int((-1) ** q * alpha.values[d], "corner")
+        cells[(d - q, -q)] = (-1) ** q * alpha.values[d]
     return HyperTable.build((-len(t.B) + 1, 0), cells)
 
 
@@ -207,7 +194,7 @@ def render(table):
     """Plain-text grid in the style of the source tables; '.' marks zero."""
     lo, hi = table.window
     cols = list(range(lo, hi + 1))
-    cells = table.as_dict()
+    cells = table.as_dict
     rows = table.rows()
     if rows:
         rows = list(range(max(rows), min(rows) - 1, -1))

@@ -2,17 +2,20 @@
 against.  They are slow on purpose: plain RatPoly arithmetic, no shortcuts.
 """
 
-from triplets import DegreeSet, RatPoly, basis_poly, dual_alpha, hsq_series, strands
+from fractions import Fraction
+from math import comb
+
+from triplets import RatPoly, basis_poly, dual_alpha, hsq_series, strand_starts
 
 
-def balanced_by_strand_starts(X, Y):
-    """Balance of DegreeSets X, Y over [lo, hi] by the strand-start criterion:
+def balanced_by_strand_starts(lo, hi, X, Y):
+    """Balance of subsets X, Y of [lo, hi] by the strand-start criterion:
     degrees lo = d_0 < d_1 < ... of X against the strand starts
     lo = y_0 < y_1 < ... < y_s of Y, balanced iff y_i > d_i for i = 1..s."""
-    if X.members[0] != X.lo or Y.members[0] != Y.lo:
+    if X[0] != lo or Y[0] != lo:
         return False
-    y = strands(Y).starts
-    d = X.members
+    y = strand_starts(lo, hi, Y)
+    d = X
     s = len(y) - 2
     if len(d) < s + 1:
         return False
@@ -35,6 +38,15 @@ def hsq_kpolynomial(hvectors, n):
     return out
 
 
+def reduction_kpoly(n, i):
+    """K-polynomial of the squarefree reduction of O_{P^i} in ambient n:
+    K_i(t) = sum_k (-1)^k C(n, i+k) C(i+k, k) t^(i+k)."""
+    coeffs = [0] * (n + 1)
+    for k in range(n - i + 1):
+        coeffs[i + k] = (-1) ** k * comb(n, i + k) * comb(i + k, k)
+    return RatPoly(coeffs)
+
+
 def interpolated_family(t, alpha):
     """chi_{p-1} = (-1)^(p-1) (RHS_p - RHS_{p-1}) where RHS_p interpolates
     the Hilbert polynomial through the points 0..-(h_p - 2), as RatPolys.
@@ -42,7 +54,7 @@ def interpolated_family(t, alpha):
     Returns (chis, flags) with flags the q whose chi_q drops degree on a
     nonempty strand.
     """
-    starts = strands(DegreeSet(t.h, t.n - t.b, t.H)).starts
+    starts = strand_starts(t.h, t.n - t.b, t.H)
     chis = []
     flags = []
     rhs_prev = RatPoly()
@@ -68,3 +80,30 @@ def interpolated_chi_family(t, alpha):
     psis, psi_flags = interpolated_family(t.dual(), dual_alpha(alpha))
     flags = tuple([("chi", q) for q in chi_flags] + [("psi", q) for q in psi_flags])
     return chis, psis, flags
+
+
+def _naive_nullspace(rows, ncols):
+    """Independent oracle: plain fraction Gauss-Jordan, no pivoting tricks."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    piv = []
+    r = 0
+    for c in range(ncols):
+        k = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if k is None:
+            continue
+        mat[r], mat[k] = mat[k], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        piv.append(c)
+        r += 1
+    basis = []
+    for f in [c for c in range(ncols) if c not in piv]:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, c in enumerate(piv):
+            v[c] = -mat[i][f]
+        basis.append(tuple(v))
+    return basis, len(piv)

@@ -34,7 +34,7 @@ from triplets import (
 from triplets.linalg import newton_values, row_echelon
 from triplets.squarefree import rotated_betti_via_strands
 
-from test_linalg import _naive_nullspace
+from oracles import _naive_nullspace
 
 RESULT_LINES = []
 

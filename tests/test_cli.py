@@ -112,6 +112,7 @@ def test_stdin_batch(capsys, monkeypatch):
     '{"n": true, "B": [0, 1], "H": [0, 1], "C": [0, 1]}',  # n a bool
     '{"n": 4, "B": "x", "H": [0, 2, 4], "C": [2, 3, 4]}',  # B not a list
     '{"n": 4, "B": [0, 1, 2], "H": [0, 2.0, 4], "C": [2, 3, 4]}',  # H not all ints
+    'not json',  # not JSON at all
 ])
 def test_malformed_stdin_record_exit_2(capsys, monkeypatch, record):
     monkeypatch.setattr("sys.stdin", io.StringIO(record + "\n"))
@@ -119,6 +120,15 @@ def test_malformed_stdin_record_exit_2(capsys, monkeypatch, record):
     assert code == 2
     assert out == ""
     assert err.startswith("invalid triplet (record: ") and len(err.splitlines()) == 1
+
+
+def test_stdin_streams_lines_before_a_bad_one(capsys, monkeypatch):
+    good = '{"n": 4, "B": [0, 1, 2], "H": [0, 2, 4], "C": [2, 3, 4]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(good + "\nnot json\n"))
+    code, out, err = run(capsys, "solve", "--stdin", "--json")
+    assert code == 2
+    assert [json.loads(line) for line in out.splitlines()] == [{"n": 4, "support": [0, 1, 2], "alpha": [3, -3, 2]}]
+    assert err == "invalid triplet (record: not JSON: not json)\n"
 
 
 def test_zip_command(capsys):

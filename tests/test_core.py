@@ -4,12 +4,11 @@ import json
 import pytest
 
 from triplets import (
-    DegreeSet,
     HomologyTriplet,
     TripletError,
+    balanced,
     core,
     enumerate_triplets,
-    is_balanced,
     reflect,
     validate_triplet,
 )
@@ -149,6 +148,6 @@ def test_count_equation_lemma():
 def test_balance_holds_on_all_three_pairs():
     for t in enumerate_triplets(3):
         n = t.n
-        assert is_balanced(DegreeSet(t.h, n, t.B), DegreeSet(t.h, n, t.H))
-        assert is_balanced(DegreeSet(t.c, n, reflect(t.B, n)), DegreeSet(t.c, n, t.C))
-        assert is_balanced(DegreeSet(t.b, n, reflect(t.H, n)), DegreeSet(t.b, n, reflect(t.C, n)))
+        assert balanced(t.h, n, t.B, t.H)
+        assert balanced(t.c, n, reflect(t.B, n), t.C)
+        assert balanced(t.b, n, reflect(t.H, n), reflect(t.C, n))

@@ -19,6 +19,8 @@ from triplets import (
 )
 from triplets.linalg import newton_poly, newton_series, newton_values, row_echelon
 
+from oracles import _naive_nullspace
+
 
 def test_ratpoly_arithmetic():
     p = RatPoly([1, 2])  # 1 + 2d
@@ -102,8 +104,9 @@ def test_degree_drop_two_forms_same_rowspace():
     for n in range(9):
         for b in range(n + 1):
             a = degree_drop_equations(n, b)
-            alt = degree_drop_equations(n, b, alternative=True)
-            stacked = RatMatrix(a.rows + alt.rows, n + 1)
+            # The alternative form: sum_{i>=j} alpha_i C(n-j, i-j) = 0.
+            alt = [[comb(n - j, i - j) if i >= j else 0 for i in range(n + 1)] for j in range(b)]
+            stacked = RatMatrix(list(a.rows) + alt, n + 1)
             # Same row space iff stacking does not raise the rank.
             assert len(row_echelon(stacked)[1]) == len(row_echelon(a)[1]) == b
 
@@ -140,33 +143,6 @@ def test_nullspace_goldens():
     (v,) = nullspace(RatMatrix([[2, 4, 0], [0, Fraction(1, 3), Fraction(2, 3)]], 3))
     assert v == (4, -2, 1) and all(type(x) is int for x in v)
     assert nullspace(RatMatrix([[0, 0]], 2)) == [(1, 0), (0, 1)]
-
-
-def _naive_nullspace(rows, ncols):
-    """Independent oracle: plain fraction Gauss-Jordan, no pivoting tricks."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    piv = []
-    r = 0
-    for c in range(ncols):
-        k = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if k is None:
-            continue
-        mat[r], mat[k] = mat[k], mat[r]
-        mat[r] = [x / mat[r][c] for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        piv.append(c)
-        r += 1
-    basis = []
-    for f in [c for c in range(ncols) if c not in piv]:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, c in enumerate(piv):
-            v[c] = -mat[i][f]
-        basis.append(tuple(v))
-    return basis, len(piv)
 
 
 def test_nullspace_random_against_oracle():

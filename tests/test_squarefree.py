@@ -21,9 +21,8 @@ from triplets import (
     triplet_betti,
     validate_triplet,
 )
-from triplets.squarefree import reduction_kpoly
 
-from oracles import betti_kpolynomial, hsq_kpolynomial
+from oracles import betti_kpolynomial, hsq_kpolynomial, reduction_kpoly
 
 
 def test_hsq_series_goldens():
@@ -71,6 +70,10 @@ def test_reduction_kpoly():
     # K_2(t) at n=4: 6t^2 - 12t^3 + 6t^4 = 6t^2(1-t)^2.
     assert reduction_kpoly(4, 2) == RatPoly([0, 0, 6, -12, 6])
     assert reduction_kpoly(4, 0) == RatPoly([1, -4, 6, -4, 1])  # (1-t)^4
+    # K_i(t) = C(n, i) t^i (1-t)^(n-i), so the h^sq vector is C(n, i) e_i.
+    for n in range(13):
+        for i in range(n + 1):
+            assert hsq_from_series(reduction_kpoly(n, i), n) == tuple(comb(n, i) * (s == i) for s in range(n + 1))
 
 
 def test_hsq_of_reduction_goldens():
