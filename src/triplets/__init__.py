@@ -24,15 +24,12 @@ from .errors import (
     Underdetermined,
 )
 from .linalg import (
-    RatMatrix,
     RatPoly,
     basis_poly,
     binom_poly,
-    degree_drop_equations,
     from_basis,
     in_basis,
     nullspace,
-    primitive_normalize,
 )
 from .solver import (
     AlphaVector,

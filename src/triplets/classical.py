@@ -89,6 +89,8 @@ def pure_zip(rs, n):
     C(n, d) * |P(-d)|.  Flags: resolution iff r_1 <= 0; Cohen-Macaulay iff
     additionally -n <= r_delta.
     """
+    if n < 0:
+        raise ValueError("need n >= 0, got %d" % n)
     if n < rs.delta:
         warnings.warn("n = %d is smaller than the root count %d" % (n, rs.delta))
     p = supernatural_poly(rs)

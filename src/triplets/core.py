@@ -157,7 +157,11 @@ def enumerate_triplets(n, max_n=None):
     """Lazy iterator over all homology triplets of type n, in lexicographic
     (B, H, C) order; memory is bounded by the 2^(n+1) - 1 candidate sets."""
     if max_n is None:
-        max_n = int(os.environ.get(MAX_N_ENV, DEFAULT_MAX_N))
+        env = os.environ.get(MAX_N_ENV, DEFAULT_MAX_N)
+        try:
+            max_n = int(env)
+        except ValueError:
+            raise ValueError("%s must be an integer, got %r" % (MAX_N_ENV, env)) from None
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > max_n:

@@ -1,5 +1,5 @@
 """Exact rational polynomials, the basis P_{n,i}, integer Newton series,
-and fraction-free nullspace computation.
+and the fraction-free Bareiss nullspace of int rows.
 
 P_{n,i}(d) = C(d+i-1, i) * C(d+n, n-i) has degree n and satisfies
 P_{n,i}(-k) = (-1)^i [k == i] for k in [0, n], so any polynomial p of
@@ -11,11 +11,10 @@ backward difference of p at 0.  Systems are solved by Bareiss elimination
 on integer rows.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import comb, factorial, gcd, lcm
+from math import factorial, gcd
 
 
 class RatPoly:
@@ -139,8 +138,8 @@ def from_basis(alpha, n):
 def newton_series(alpha):
     """Newton series a_0..a_n of from_basis(alpha, n): a_m = sum_i alpha_i C(m, i).
 
-    With g(e) = (-1)^e alpha_e = p(-e), a_m = (-1)^m (Delta^m g)(0).  a_{n-j}
-    is row j of degree_drop_equations applied to alpha.
+    With g(e) = (-1)^e alpha_e = p(-e), a_m = (-1)^m (Delta^m g)(0).  The
+    polynomial has degree <= n - b iff a_{n-j} = 0 for j = 0..b-1.
     """
     g = [-x if e % 2 else x for e, x in enumerate(alpha)]
     out = []
@@ -173,47 +172,23 @@ def newton_values(a, start, stop):
     return vals[start - origin:stop - origin]
 
 
-def degree_drop_equations(n, b):
-    """Rows whose joint vanishing says from_basis(alpha, n) has degree <= n-b.
-
-    Row j (j = 0..b-1) is sum_i alpha_i C(n-j, i) = 0.
-    """
-    if not 0 <= b <= n:
-        raise ValueError("need 0 <= b <= n")
-    rows = [[comb(n - j, i) for i in range(n + 1)] for j in range(b)]
-    return RatMatrix(rows, n + 1)
-
-
-@dataclass(frozen=True)
-class RatMatrix:
-    rows: tuple  # int entries stay int, others become Fractions
-    ncols: int
-
-    def __post_init__(self):
-        rows = tuple(tuple(x if isinstance(x, int) else Fraction(x) for x in r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        for r in rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged matrix")
-
-
-def _int_row(row):
-    """row times the lcm of its denominators: integer entries, same direction."""
-    scale = lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row]
-
-
-def row_echelon(m):
-    """Fraction-free (Bareiss) row echelon of m with each row scaled to integers.
+def row_echelon(rows, ncols):
+    """Fraction-free (Bareiss) row echelon of the int rows, each of length ncols.
 
     Returns (echelon rows, pivot column indices).  Pivot choice is
-    deterministic: leftmost column, first nonzero row.
+    deterministic: leftmost column, first nonzero row.  Bareiss's exact
+    divisions hold only for integers, so any other entry type is refused.
     """
-    rows = [_int_row(r) for r in m.rows]
+    rows = [list(r) for r in rows]
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix: row of length %d, expected %d" % (len(row), ncols))
+        if any(type(x) is not int for x in row):
+            raise TypeError("matrix entries must be int: %r" % (row,))
     piv_cols = []
     r = 0
     prev = 1
-    for c in range(m.ncols):
+    for c in range(ncols):
         k = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if k is None:
             continue
@@ -230,20 +205,20 @@ def row_echelon(m):
     return rows[:r], piv_cols
 
 
-def nullspace(m):
-    """Basis of the right nullspace of m: primitive integer vectors, each
-    positive in its free column; exact, deterministic order."""
-    ech, piv_cols = row_echelon(m)
+def nullspace(rows, ncols):
+    """Basis of the right nullspace of the int rows: primitive integer
+    vectors, each positive in its free column; exact, deterministic order."""
+    ech, piv_cols = row_echelon(rows, ncols)
     basis = []
-    for f in range(m.ncols):
+    for f in range(ncols):
         if f in piv_cols:
             continue
-        v = [0] * m.ncols
+        v = [0] * ncols
         v[f] = 1
         for r in range(len(piv_cols) - 1, -1, -1):
             c = piv_cols[r]
             row = ech[r]
-            s = sum(row[j] * v[j] for j in range(c + 1, m.ncols))
+            s = sum(row[j] * v[j] for j in range(c + 1, ncols))
             p = row[c]
             k = abs(p) // gcd(s, p)  # scale v so the pivot divides
             if k != 1:
@@ -253,16 +228,3 @@ def nullspace(m):
         g = gcd(*v)
         basis.append(tuple(x // g for x in v))
     return basis
-
-
-def primitive_normalize(v, sign_index):
-    """Smallest integer multiple of v with gcd 1 and v[sign_index] > 0."""
-    ints = _int_row([x if isinstance(x, int) else Fraction(x) for x in v])
-    g = gcd(*ints)
-    if g == 0:
-        raise ValueError("cannot normalize the zero vector")
-    if ints[sign_index] == 0:
-        raise ValueError("ambiguous sign: entry %d is zero" % sign_index)
-    if ints[sign_index] < 0:
-        g = -g
-    return tuple(x // g for x in ints)

@@ -23,7 +23,7 @@ from math import comb
 
 from .degsets import strand_starts
 from .errors import ConsistencyError, Overdetermined, Underdetermined
-from .linalg import RatMatrix, newton_poly, newton_series, newton_values, nullspace, primitive_normalize
+from .linalg import newton_poly, newton_series, newton_values, nullspace
 
 
 @dataclass(frozen=True)
@@ -56,23 +56,25 @@ def build_equations(t):
     rows = []
     for r in range(t.h, t.n + 1):
         if r not in hset:
-            rows.append([comb(r, i) for i in t.B])
+            rows.append(tuple(comb(r, i) for i in t.B))
     for r in range(t.c, t.n - t.b + 1):
         if r not in cset:
-            rows.append([comb(r, t.n - i) for i in t.B])
+            rows.append(tuple(comb(r, t.n - i) for i in t.B))
     if len(rows) != len(t.B) - 1:
         raise ConsistencyError("expected %d equation rows, built %d" % (len(t.B) - 1, len(rows)))
-    return RatMatrix(rows, len(t.B))
+    return tuple(rows)
 
 
 def solve_alpha(t):
     """Primitive integer alpha with alpha_{d_0} > 0; unique up to scale."""
-    basis = nullspace(build_equations(t))
+    basis = nullspace(build_equations(t), len(t.B))
     if not basis:
         raise Overdetermined(t)
     if len(basis) > 1:
         raise Underdetermined(t, len(basis))
-    prim = primitive_normalize(basis[0], 0)
+    prim = basis[0]  # primitive already; a zero alpha_{d_0} fails the sign check below
+    if prim[0] < 0:
+        prim = [-x for x in prim]
     values = [0] * (t.n + 1)
     for i, v in zip(t.B, prim):
         values[i] = v
@@ -80,7 +82,7 @@ def solve_alpha(t):
     for q, d in enumerate(t.B):
         if (-1) ** q * values[d] <= 0:
             raise ConsistencyError("sign convention violated at q=%d for %r" % (q, t))
-    # The rows j < b of degree_drop_equations(n, .) vanish and row b does not.
+    # Degree exactly n - b: A_{n-j} = 0 for j < b and A_{n-b} != 0.
     top = t.n - t.b
     if not alpha.series[top] or any(alpha.series[top + 1:]):
         raise ConsistencyError("Hilbert polynomial degree != n - b for %r" % (t,))

@@ -3,7 +3,7 @@ against.  They are slow on purpose: plain RatPoly arithmetic, no shortcuts.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from triplets import RatPoly, basis_poly, dual_alpha, hsq_series, strand_starts
 
@@ -80,6 +80,26 @@ def interpolated_chi_family(t, alpha):
     psis, psi_flags = interpolated_family(t.dual(), dual_alpha(alpha))
     flags = tuple([("chi", q) for q in chi_flags] + [("psi", q) for q in psi_flags])
     return chis, psis, flags
+
+
+def degree_drop_equations(n, b):
+    """Rows whose joint vanishing says from_basis(alpha, n) has degree <= n-b.
+
+    Row j (j = 0..b-1) is sum_i alpha_i C(n-j, i) = 0.
+    """
+    if not 0 <= b <= n:
+        raise ValueError("need 0 <= b <= n")
+    return tuple(tuple(comb(n - j, i) for i in range(n + 1)) for j in range(b))
+
+
+def int_rows(rows):
+    """Each row times the lcm of its denominators: int rows, same row space."""
+    out = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        scale = lcm(*(x.denominator for x in row))
+        out.append([int(x * scale) for x in row])
+    return out
 
 
 def _naive_nullspace(rows, ncols):

@@ -14,7 +14,6 @@ from math import comb
 from triplets import (
     DegenerateSystem,
     HyperTable,
-    RatMatrix,
     RatPoly,
     betti,
     buchsbaum_rim,
@@ -34,7 +33,7 @@ from triplets import (
 from triplets.linalg import newton_values, row_echelon
 from triplets.squarefree import rotated_betti_via_strands
 
-from oracles import _naive_nullspace
+from oracles import _naive_nullspace, int_rows
 
 RESULT_LINES = []
 
@@ -223,12 +222,11 @@ def test_criterion_7_exact_regression():
         nrows = rng.randrange(1, 6)
         ncols = rng.randrange(1, 6)
         rows = [[Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(ncols)] for _ in range(nrows)]
-        m = RatMatrix(rows, ncols)
-        basis = nullspace(m)
+        basis = nullspace(int_rows(rows), ncols)
         oracle_basis, rank = _naive_nullspace(rows, ncols)
         assert len(basis) == len(oracle_basis) == ncols - rank
         for v in basis:
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
         if basis:
-            stacked = RatMatrix(list(basis) + list(oracle_basis), ncols)
-            assert len(row_echelon(stacked)[1]) == len(basis)
+            stacked = int_rows(list(basis) + list(oracle_basis))
+            assert len(row_echelon(stacked, ncols)[1]) == len(basis)

@@ -139,3 +139,6 @@ def test_pure_zip_partition_and_warning():
     assert sorted(report.degrees + (1, 3)) == list(range(5))
     with pytest.warns(UserWarning):
         pure_zip(rs, 1)
+    with pytest.raises(ValueError):
+        pure_zip(rs, -1)
+    assert pure_zip(RootSequence(()), 0).degrees == (0,)

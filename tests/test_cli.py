@@ -1,9 +1,13 @@
 import io
 import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from triplets import ConsistencyError, HyperTable, Overdetermined, validate_triplet
+from triplets import ConsistencyError, HyperTable, Overdetermined, enumerate_triplets, validate_triplet
 from triplets.cli import main
 
 T64_ARGS = ["--n", "4", "--B", "0,1,2", "--H", "0,2,4", "--C", "2,3,4"]
@@ -131,6 +135,58 @@ def test_stdin_streams_lines_before_a_bad_one(capsys, monkeypatch):
     assert err == "invalid triplet (record: not JSON: not json)\n"
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+_VALID = [json.loads(t.to_json()) for n in range(1, 5) for t in enumerate_triplets(n)]
+
+
+@st.composite
+def _near_valid(draw):
+    """A valid n <= 4 record with at most one field dropped or perturbed."""
+    rec = dict(draw(st.sampled_from(_VALID)))
+    key = draw(st.none() | st.sampled_from(["n", "B", "H", "C"]))
+    if key is None:
+        return rec
+    how = draw(st.sampled_from(["drop", "json", "borrow", "shift", "extend"]))
+    if how == "drop":
+        del rec[key]
+    elif how == "json":
+        rec[key] = draw(_JSON)
+    elif how == "borrow":
+        rec[key] = draw(st.sampled_from(_VALID))[key]
+    elif key == "n":
+        rec["n"] += draw(st.integers(-3, 3))
+    elif how == "shift":
+        rec[key] = [x + draw(st.integers(-2, 2)) for x in rec[key]]
+    else:
+        rec[key] = rec[key] + draw(st.lists(st.integers(-2, 9), max_size=2))
+    return rec
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "betti", "triplet", "rotate", "dual", "table"])
+@settings(max_examples=60, deadline=None)
+@given(
+    records=st.lists(_near_valid(), min_size=1, max_size=3) | st.lists(_JSON, min_size=1, max_size=3),
+    ascii_only=st.booleans(),
+)
+def test_stdin_fuzz_exits_cleanly(command, records, ascii_only):
+    text = "".join(json.dumps(r, ensure_ascii=ascii_only) + "\n" for r in records)
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, "--stdin", "--json"])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 2, 3, 4, 64)
+    err = err.getvalue()
+    assert (err == "") if code == 0 else (err.endswith("\n") and err.count("\n") == 1)
+
+
 def test_zip_command(capsys):
     code, out, _ = run(capsys, "zip", "--roots=-1,-2", "--n", "4", "--json")
     assert code == 0
@@ -175,13 +231,20 @@ def test_usage_errors_exit_64(capsys):
     assert exc.value.code == 64
 
 
-def test_value_errors_exit_64(capsys):
+def test_value_errors_exit_64(capsys, monkeypatch):
     code, _, err = run(capsys, "enumerate", "--n", "99")
     assert code == 64 and "TRIPLETS_MAX_N" in err
     code, _, err = run(capsys, "classical", "en", "--w", "1")
     assert code == 64
     code, _, err = run(capsys, "zip", "--roots=1,2", "--n", "3")
     assert code == 64  # roots not strictly decreasing
+    code, out, err = run(capsys, "zip", "--roots=-1", "--n", "-3")
+    assert code == 64 and out == "" and "n >= 0" in err
+    code, out, err = run(capsys, "classical", "en", "--w", "3", "--n", "-1")
+    assert code == 64 and out == "" and "n >= 0" in err
+    monkeypatch.setenv("TRIPLETS_MAX_N", "abc")
+    code, out, err = run(capsys, "enumerate", "--n", "3")
+    assert code == 64 and out == "" and "TRIPLETS_MAX_N" in err
 
 
 def test_degeneracy_exit_3(capsys, monkeypatch):

@@ -7,19 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triplets import (
-    RatMatrix,
     RatPoly,
     basis_poly,
     binom_poly,
-    degree_drop_equations,
     from_basis,
     in_basis,
     nullspace,
-    primitive_normalize,
 )
 from triplets.linalg import newton_poly, newton_series, newton_values, row_echelon
 
-from oracles import _naive_nullspace
+from oracles import _naive_nullspace, degree_drop_equations, int_rows
 
 
 def test_ratpoly_arithmetic():
@@ -87,17 +84,12 @@ def test_basis_roundtrip(arg):
 
 
 def test_degree_drop_equations_goldens():
-    assert degree_drop_equations(3, 0).rows == ()
+    assert degree_drop_equations(3, 0) == ()
     m = degree_drop_equations(2, 1)
-    assert m.rows == ((1, 2, 1),)
+    assert m == ((1, 2, 1),)
     # alpha = (1,-1,1) satisfies the row and from_basis gives the constant 1
-    assert sum(a * c for a, c in zip((1, -1, 1), m.rows[0])) == 0
+    assert sum(a * c for a, c in zip((1, -1, 1), m[0])) == 0
     assert from_basis((1, -1, 1), 2) == RatPoly([1])
-
-
-def _rowspace_basis(m):
-    ech, _ = row_echelon(m)
-    return [primitive_normalize(r, next(j for j, x in enumerate(r) if x)) for r in ech]
 
 
 def test_degree_drop_two_forms_same_rowspace():
@@ -106,9 +98,8 @@ def test_degree_drop_two_forms_same_rowspace():
             a = degree_drop_equations(n, b)
             # The alternative form: sum_{i>=j} alpha_i C(n-j, i-j) = 0.
             alt = [[comb(n - j, i - j) if i >= j else 0 for i in range(n + 1)] for j in range(b)]
-            stacked = RatMatrix(list(a.rows) + alt, n + 1)
             # Same row space iff stacking does not raise the rank.
-            assert len(row_echelon(stacked)[1]) == len(row_echelon(a)[1]) == b
+            assert len(row_echelon(list(a) + alt, n + 1)[1]) == len(row_echelon(a, n + 1)[1]) == b
 
 
 def test_degree_drop_characterizes_degree():
@@ -117,7 +108,7 @@ def test_degree_drop_characterizes_degree():
         n = rng.randrange(1, 8)
         b = rng.randrange(1, n + 1)
         m = degree_drop_equations(n, b)
-        vecs = nullspace(m)
+        vecs = nullspace(m, n + 1)
         assert len(vecs) == n + 1 - b
         weights = [rng.randrange(-3, 4) for _ in vecs]
         alpha = [sum(w * v[i] for w, v in zip(weights, vecs)) for i in range(n + 1)]
@@ -125,24 +116,31 @@ def test_degree_drop_characterizes_degree():
         # Violating one row pushes the degree above n - b.
         alpha2 = list(alpha)
         alpha2[n] += 1  # changes the last row's value since C(n-j, n) = [j=0]
-        if sum(a * c for a, c in zip(alpha2, m.rows[0])) != 0:
+        if sum(a * c for a, c in zip(alpha2, m[0])) != 0:
             assert from_basis(alpha2, n).degree > n - b
 
 
 def test_nullspace_goldens():
-    eye = RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
-    assert nullspace(eye) == []
-    m = RatMatrix([[1, 1, 0], [0, 1, 1]], 3)
-    (v,) = nullspace(m)
-    assert primitive_normalize(v, 0) == (1, -1, 1)
+    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert nullspace(eye, 3) == []
+    (v,) = nullspace([[1, 1, 0], [0, 1, 1]], 3)
+    assert v == (1, -1, 1)
     # the n=4 example's system on (alpha_0, alpha_1, alpha_2)
-    sys64 = RatMatrix([[1, 1, 0], [1, 3, 3]], 3)
-    (v,) = nullspace(sys64)
-    assert primitive_normalize(v, 0) == (3, -3, 2)
+    (v,) = nullspace([[1, 1, 0], [1, 3, 3]], 3)
+    assert v == (3, -3, 2)
     # Basis vectors are primitive integer vectors, positive in the free column.
-    (v,) = nullspace(RatMatrix([[2, 4, 0], [0, Fraction(1, 3), Fraction(2, 3)]], 3))
+    (v,) = nullspace(int_rows([[2, 4, 0], [0, Fraction(1, 3), Fraction(2, 3)]]), 3)
     assert v == (4, -2, 1) and all(type(x) is int for x in v)
-    assert nullspace(RatMatrix([[0, 0]], 2)) == [(1, 0), (0, 1)]
+    assert nullspace([[0, 0]], 2) == [(1, 0), (0, 1)]
+
+
+def test_row_echelon_rejects_ragged_and_non_int_rows():
+    with pytest.raises(ValueError, match="ragged"):
+        row_echelon([[1, 2], [3]], 2)
+    with pytest.raises(TypeError):
+        row_echelon([[1, Fraction(1, 2)]], 2)
+    with pytest.raises(TypeError):
+        nullspace([[Fraction(2), 1]], 2)
 
 
 def test_nullspace_random_against_oracle():
@@ -151,8 +149,7 @@ def test_nullspace_random_against_oracle():
         nrows = rng.randrange(1, 6)
         ncols = rng.randrange(1, 6)
         rows = [[Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(ncols)] for _ in range(nrows)]
-        m = RatMatrix(rows, ncols)
-        basis = nullspace(m)
+        basis = nullspace(int_rows(rows), ncols)
         oracle_basis, rank = _naive_nullspace(rows, ncols)
         assert len(basis) == len(oracle_basis) == ncols - rank
         for v in basis:
@@ -161,18 +158,8 @@ def test_nullspace_random_against_oracle():
         # Each oracle vector lies in the span of the computed basis: the
         # stacked matrix of both bases has the same rank as the first.
         if basis:
-            stacked = RatMatrix(list(basis) + list(oracle_basis), ncols)
-            assert len(row_echelon(stacked)[1]) == len(row_echelon(RatMatrix(basis, ncols))[1])
-
-
-def test_primitive_normalize():
-    assert primitive_normalize((1, -1, Fraction(2, 3)), 0) == (3, -3, 2)
-    assert primitive_normalize((-2, 4), 0) == (1, -2)
-    assert primitive_normalize((1, -2), 0) == (1, -2)  # fixed point
-    with pytest.raises(ValueError):
-        primitive_normalize((0, 0), 0)
-    with pytest.raises(ValueError):
-        primitive_normalize((0, 1), 0)
+            stacked = int_rows(list(basis) + list(oracle_basis))
+            assert len(row_echelon(stacked, ncols)[1]) == len(row_echelon(basis, ncols)[1])
 
 
 def test_newton_values():
@@ -198,7 +185,7 @@ def test_newton_series_is_degree_drop_rows():
         n = rng.randrange(1, 8)
         alpha = [rng.randrange(-9, 10) for _ in range(n + 1)]
         a = newton_series(alpha)
-        rows = degree_drop_equations(n, n).rows
+        rows = degree_drop_equations(n, n)
         assert [sum(x * c for x, c in zip(alpha, row)) for row in rows] == list(a[:0:-1])
         assert a[0] == alpha[0]
         assert newton_poly(a) == from_basis(alpha, n)

@@ -18,29 +18,36 @@ from triplets import (
 
 def test_build_equations_goldens(t64, t42):
     # Nondegrees of H in [0,4] are {1,3}; C = [2,4] contributes nothing.
-    assert build_equations(t64).rows == ((1, 1, 0), (1, 3, 3))
+    assert build_equations(t64) == ((1, 1, 0), (1, 3, 3))
     # Shared row r=3 (kept in H-form on columns B=(0,2,3)) plus the C-row r=1.
-    assert build_equations(t42).rows == ((1, 3, 1), (0, 1, 1))
+    assert build_equations(t42) == ((1, 3, 1), (0, 1, 1))
 
 
 def test_build_equations_interval_case():
     # H and C both full intervals: only the b shared degree-drop rows remain.
     t = validate_triplet(3, [0, 1], [0, 1, 2], [2])
     assert t.s_H == t.s_C == 0 and t.b == 1
-    m = build_equations(t)
-    assert len(m.rows) == len(t.B) - 1 == 1
-    assert m.rows == ((1, 3),)
+    rows = build_equations(t)
+    assert len(rows) == len(t.B) - 1 == 1
+    assert rows == ((1, 3),)
 
 
 def test_build_equations_row_count():
     for t in enumerate_triplets(4):
-        assert len(build_equations(t).rows) == len(t.B) - 1
+        assert len(build_equations(t)) == len(t.B) - 1
 
 
 def test_solve_alpha_goldens(t64, t42, t44):
     assert solve_alpha(t64).on_support() == (3, -3, 2)
     assert solve_alpha(t42).on_support() == (2, -1, 1)
     assert solve_alpha(t44).on_support() == (1, -2, 2)
+
+
+def test_zero_leading_alpha_is_a_consistency_error(t64, monkeypatch):
+    # A nullspace vector with alpha_{d_0} = 0 has no sign to normalise by.
+    monkeypatch.setattr("triplets.solver.nullspace", lambda rows, ncols: [(0, -1, 1)])
+    with pytest.raises(ConsistencyError, match="sign convention violated at q=0"):
+        solve_alpha(t64)
 
 
 def test_alpha_vector_shape(t64):
