@@ -10,7 +10,6 @@ from .classical import (
     eagon_northcott,
     pure_zip,
     schur_roots,
-    supernatural_poly,
     supernatural_table,
     tensor_roots,
 )
@@ -23,14 +22,7 @@ from .errors import (
     TripletError,
     Underdetermined,
 )
-from .linalg import (
-    RatPoly,
-    basis_poly,
-    binom_poly,
-    from_basis,
-    in_basis,
-    nullspace,
-)
+from .linalg import nullspace
 from .solver import (
     AlphaVector,
     BettiDiagram,
@@ -41,16 +33,7 @@ from .solver import (
     dual_alpha,
     solve_alpha,
 )
-from .squarefree import (
-    HomologicalData,
-    homological_data,
-    hsq_from_series,
-    hsq_of_reduction,
-    hsq_series,
-    rotated_betti_via_strands,
-    sheaf_class_decompose,
-    triplet_betti,
-)
-from .tables import HyperTable, ZipTerm, corner_table, full_table, render, tate_terms, zip_terms
+from .squarefree import rotated_betti_via_strands, triplet_betti
+from .tables import HyperTable, ZipTerm, full_table, render, tate_terms, zip_terms
 
 __version__ = "0.1.0"

@@ -5,16 +5,16 @@ tensor) realized as pure zip complexes.
 A root sequence r_1 > ... > r_delta with positive scale c defines the
 polynomial P(t) = (c / delta!) prod (t - r_k).  The sheaf it governs has at
 most one nonzero cohomology row per twist: row i on the open interval
-between r_{i+1} and r_i, with dimension |P(t)|.
+between r_{i+1} and r_i, with dimension |P(t)|.  Each value is the one
+rational factor c / delta! times the int product prod (t - r_k).
 """
 
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import ConsistencyError
-from .linalg import RatPoly
 from .tables import HyperTable
 
 
@@ -42,14 +42,6 @@ def _as_int(x, what):
     return x.numerator
 
 
-def supernatural_poly(rs):
-    """(scale / delta!) * prod_k (t - r_k)."""
-    p = RatPoly([Fraction(rs.scale, factorial(rs.delta))])
-    for r in rs.roots:
-        p = p * RatPoly([-r, 1])
-    return p
-
-
 def cohomology_row(rs, twist):
     """Row index holding the (unique) nonzero cohomology at this twist."""
     return sum(1 for r in rs.roots if r > twist)
@@ -60,14 +52,14 @@ def supernatural_table(rs, window=None):
     if window is None:
         window = (-rs.delta - 6, 5)
     lo, hi = window
-    p = supernatural_poly(rs)
+    factor = rs.scale / factorial(rs.delta)
     cells = {}
     for i in range(rs.delta + 1):
         for col in range(lo, hi + 1):
             t = col - i
             if cohomology_row(rs, t) != i:
                 continue
-            v = abs(p(t))
+            v = abs(factor * prod(t - r for r in rs.roots))
             if v:
                 cells[(i, col)] = _as_int(v, "supernatural")
     return HyperTable.build(window, cells)
@@ -93,10 +85,10 @@ def pure_zip(rs, n):
         raise ValueError("need n >= 0, got %d" % n)
     if n < rs.delta:
         warnings.warn("n = %d is smaller than the root count %d" % (n, rs.delta))
-    p = supernatural_poly(rs)
+    factor = rs.scale / factorial(rs.delta)
     negated = {-r for r in rs.roots}
     degrees = tuple(d for d in range(n + 1) if d not in negated)
-    ranks = tuple(_as_int(comb(n, d) * abs(p(-d)), "rank") for d in degrees)
+    ranks = tuple(_as_int(comb(n, d) * abs(factor * prod(-d - r for r in rs.roots)), "rank") for d in degrees)
     is_resolution = rs.delta == 0 or rs.roots[0] <= 0
     is_cm = is_resolution and (rs.delta == 0 or -n <= rs.roots[-1])
     return PureComplexReport(n, degrees, ranks, is_resolution, is_cm)

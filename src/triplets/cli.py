@@ -3,13 +3,18 @@
 Exit codes: 0 success, 2 invalid triplet, 3 solver degeneracy
 (over/underdetermined system), 4 failed internal consistency check,
 64 usage errors.  Output is deterministic;
-`--json` switches every subcommand to the documented JSON schemas.
+`--json` switches every subcommand to the documented JSON schemas.  A
+library warning is printed as one `warning: ...` line on stderr, and a
+reader that closes the pipe early ends the run with exit 0.
 """
 
 import argparse
 import json
+import os
 import sys
+import warnings
 from fractions import Fraction
+from math import factorial
 
 from . import classical
 from .core import HomologyTriplet, enumerate_triplets, validate_triplet
@@ -104,6 +109,32 @@ def build_parser():
     return parser
 
 
+def _power_form(series):
+    """The polynomial sum_i a_i C(d+i-1, i) of the Newton series a in powers
+    of d, printed as `c_0 + c_1*d + c_2*d^2 + ...` with zero terms left out.
+
+    C(d+i-1, i) is the rising factorial d(d+1)...(d+i-1) over i!, so over
+    the common denominator top! every power-basis coefficient is an int.
+    """
+    top = len(series) - 1
+    den = factorial(top)
+    num = [0] * (top + 1)
+    rising = [1]  # d(d+1)...(d+i-1) in powers of d
+    for i, a in enumerate(series):
+        if i:
+            rising = [x + (i - 1) * y for x, y in zip([0] + rising, rising + [0])]
+        if a:
+            weight = a * (den // factorial(i))
+            for k, c in enumerate(rising):
+                num[k] += weight * c
+    terms = []
+    for k, c in enumerate(num):
+        if c:
+            c = Fraction(c, den)
+            terms.append(str(c) if k == 0 else "%s*d" % c if k == 1 else "%s*d^%d" % (c, k))
+    return " + ".join(terms) or "0"
+
+
 def _emit_report(report, roots, args):
     if args.json:
         print(json.dumps({
@@ -163,7 +194,7 @@ def _run(args, parser):
             else:
                 print("support:", ",".join(map(str, alpha.support)))
                 print("alpha:", ",".join(map(str, alpha.on_support())))
-                print("P(d) =", alpha.hilbert_poly())
+                print("P(d) =", _power_form(alpha.series))
         elif cmd == "betti":
             diagram = betti(t)
             print(diagram.to_json() if args.json else diagram.render())
@@ -181,11 +212,26 @@ def _run(args, parser):
     return 0
 
 
+def _warning_line(message, *_):
+    print("warning: %s" % message, file=sys.stderr)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args, parser)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            code = _run(args, parser)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull so that flushing what
+        # is still buffered at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except TripletError as exc:
         print("invalid triplet (%s)" % exc, file=sys.stderr)
         return 2

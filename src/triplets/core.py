@@ -22,7 +22,7 @@ from .degsets import balanced, reflect
 from .errors import ConsistencyError, TripletError
 
 MAX_N_ENV = "TRIPLETS_MAX_N"
-DEFAULT_MAX_N = 12
+DEFAULT_MAX_N = 9
 
 
 @dataclass(frozen=True)
@@ -153,15 +153,14 @@ def _candidates(n):
     return out
 
 
-def enumerate_triplets(n, max_n=None):
+def enumerate_triplets(n):
     """Lazy iterator over all homology triplets of type n, in lexicographic
     (B, H, C) order; memory is bounded by the 2^(n+1) - 1 candidate sets."""
-    if max_n is None:
-        env = os.environ.get(MAX_N_ENV, DEFAULT_MAX_N)
-        try:
-            max_n = int(env)
-        except ValueError:
-            raise ValueError("%s must be an integer, got %r" % (MAX_N_ENV, env)) from None
+    env = os.environ.get(MAX_N_ENV, DEFAULT_MAX_N)
+    try:
+        max_n = int(env)
+    except ValueError:
+        raise ValueError("%s must be an integer, got %r" % (MAX_N_ENV, env)) from None
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > max_n:

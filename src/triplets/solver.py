@@ -12,8 +12,8 @@ Downstream, the Hilbert polynomial is its integer Newton series A (see
 linalg), A_r = sum_i alpha_i C(r, i): the H-rows say A_r = 0 off H, chi_q
 is (-1)^q times the slice of A on the q-th strand of H, and psi_q is the
 same on the dual alpha.  The strands come from degsets.strand_starts on the
-validated tuples H over [h, n-b] and C over [c, n-b].  Polynomials
-(hilbert_poly, chis, psis) are built from the series, and only for display.
+validated tuples H over [h, n-b] and C over [c, n-b].  No polynomial is
+built: every value and identity is read off the integer series.
 """
 
 import json
@@ -23,7 +23,7 @@ from math import comb
 
 from .degsets import strand_starts
 from .errors import ConsistencyError, Overdetermined, Underdetermined
-from .linalg import newton_poly, newton_series, newton_values, nullspace
+from .linalg import newton_series, newton_values, nullspace
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,6 @@ class AlphaVector:
     def series(self):
         """Newton series A_0..A_n of the Hilbert polynomial."""
         return newton_series(self.values)
-
-    def hilbert_poly(self):
-        return newton_poly(self.series)
 
     def to_json(self):
         return json.dumps({"n": self.n, "support": list(self.support), "alpha": list(self.on_support())})
@@ -109,14 +106,6 @@ class ChiFamily:
     chi_series: tuple  # chi_0..chi_{s_H}
     psi_series: tuple  # psi_0..psi_{s_C}
     flags: tuple = field(default=())  # strict degree drops, ("chi"|"psi", q)
-
-    @property
-    def chis(self):
-        return tuple(map(newton_poly, self.chi_series))
-
-    @property
-    def psis(self):
-        return tuple(map(newton_poly, self.psi_series))
 
 
 def _truncated_family(lo, hi, X, series, what, t):

@@ -133,16 +133,6 @@ def _assert_euler(table, t, alpha):
             raise ConsistencyError("Euler consistency fails at twist %d for %r" % (twist, t))
 
 
-def corner_table(t, alpha=None):
-    """The pure corner: column -q carries (-1)^q alpha_{d_q} at row d_q - q."""
-    if alpha is None:
-        alpha = solve_alpha(t)
-    cells = {}
-    for q, d in enumerate(t.B):
-        cells[(d - q, -q)] = (-1) ** q * alpha.values[d]
-    return HyperTable.build((-len(t.B) + 1, 0), cells)
-
-
 @dataclass(frozen=True)
 class ZipTerm:
     p: int

@@ -1,11 +1,222 @@
 """Independent reference implementations that tests compare the library
 against.  They are slow on purpose: plain RatPoly arithmetic, no shortcuts.
+
+The library holds every polynomial as an integer Newton series; the exact
+Fraction polynomials, the basis P_{n,i}, the K-polynomial layer and the
+polynomial forms of the supernatural and corner data live here.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from functools import cache
+from math import comb, factorial, lcm
 
-from triplets import RatPoly, basis_poly, dual_alpha, hsq_series, strand_starts
+from triplets import BettiDiagram, ConsistencyError, HyperTable, betti, chi_family, dual_alpha, solve_alpha, strand_starts
+from triplets.linalg import newton_series
+from triplets.squarefree import _hsq_of_series
+
+
+class RatPoly:
+    """Dense univariate polynomial with Fraction coefficients."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        # Coefficients are ints or Fractions; they mix exactly.
+        cs = list(coeffs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def coeff(self, i):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        if not isinstance(other, RatPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other):
+        if not isinstance(other, RatPoly):
+            other = RatPoly([other])
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, v in enumerate(b):
+            out[i] = out[i] + v
+        return RatPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RatPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, RatPoly) else RatPoly([-other]))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, RatPoly):
+            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
+            for i, a in enumerate(self.coeffs):
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+            return RatPoly(out)
+        return RatPoly([c * other for c in self.coeffs])
+
+    __rmul__ = __mul__
+
+    def __call__(self, x):
+        """Evaluate; x may be a number or a RatPoly (composition)."""
+        acc = RatPoly() if isinstance(x, RatPoly) else 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def __repr__(self):
+        return "RatPoly(%r)" % (self.coeffs,)
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            term = "d^%d" % i if i > 1 else ("d" if i == 1 else "")
+            parts.append(("%s*%s" % (c, term)).rstrip("*") if term else str(c))
+        return " + ".join(parts)
+
+
+@cache
+def binom_poly(shift, k):
+    """C(d + shift, k) as a polynomial in d, via the falling factorial."""
+    p = RatPoly([1])
+    for j in range(k):
+        p = p * RatPoly([shift - j, 1])
+    return p * Fraction(1, factorial(k))
+
+
+@cache
+def basis_poly(n, i):
+    """P_{n,i}(d) = C(d+i-1, i) * C(d+n, n-i)."""
+    if not 0 <= i <= n:
+        raise ValueError("need 0 <= i <= n, got i=%d, n=%d" % (i, n))
+    return binom_poly(i - 1, i) * binom_poly(n, n - i)
+
+
+def in_basis(p, n):
+    """Coefficients alpha_0..alpha_n of p in the P_{n,i} basis."""
+    if p.degree > n:
+        raise ValueError("degree %d exceeds n = %d" % (p.degree, n))
+    return tuple((-1) ** i * p(-i) for i in range(n + 1))
+
+
+def from_basis(alpha, n):
+    p = RatPoly()
+    for i, a in enumerate(alpha):
+        if a:
+            p = p + basis_poly(n, i) * a
+    return p
+
+
+def newton_poly(a):
+    """The polynomial sum_i a_i C(d+i-1, i) as a RatPoly."""
+    return sum((binom_poly(i - 1, i) * x for i, x in enumerate(a) if x), RatPoly())
+
+
+def _one_minus_t_power(k):
+    return RatPoly([(-1) ** i * comb(k, i) for i in range(k + 1)])
+
+
+def hsq_series(h):
+    """K-polynomial of the h^sq vector: the series numerator over (1-t)^n."""
+    n = len(h) - 1
+    out = RatPoly()
+    for k, v in enumerate(h):
+        if v:
+            out = out + RatPoly([0] * k + [v]) * _one_minus_t_power(n - k)
+    return out
+
+
+def hsq_from_series(num, n):
+    """Invert hsq_series: solve sum_s h(s) t^s (1-t)^(n-s) = num."""
+    if num.degree > n:
+        raise ValueError("numerator degree %d exceeds n = %d" % (num.degree, n))
+    h = [0] * (n + 1)
+    for s in range(n + 1):
+        acc = sum(h[k] * ((-1) ** (s - k)) * comb(n - k, s - k) for k in range(s))
+        h[s] = num.coeff(s) - acc
+    return tuple(h)
+
+
+def sheaf_class_decompose(chi, delta):
+    """Coefficients a_0..a_delta with chi(d) = sum_i a_i C(d+i-1, i).
+
+    This is the Newton series of chi, padded to length delta + 1.  Negative
+    a_i are returned as-is, never raised here.
+    """
+    if chi.degree > delta:
+        raise ValueError("degree %d exceeds delta = %d" % (chi.degree, delta))
+    return newton_series(in_basis(chi, delta))
+
+
+def hsq_of_reduction(chi, delta, n):
+    """h^sq vector of the squarefree reduction of a sheaf with Hilbert
+    polynomial chi on P^delta, embedded for ambient n."""
+    a = sheaf_class_decompose(chi, delta)
+    if any(x.denominator != 1 for x in a):
+        raise ConsistencyError("non-integer class coefficients %r for chi = %s" % (a, chi))
+    return _hsq_of_series(tuple(x.numerator for x in a), n)
+
+
+@dataclass(frozen=True)
+class HomologicalData:
+    B: BettiDiagram
+    H: tuple  # one h^sq vector per homology index (zero strands included)
+    C: tuple
+
+
+def homological_data(t, alpha=None):
+    if alpha is None:
+        alpha = solve_alpha(t)
+    fam = chi_family(t, alpha)
+
+    def vectors(family):
+        return tuple(_hsq_of_series(a, t.n) for a in family)
+
+    return HomologicalData(B=betti(t, alpha), H=vectors(fam.chi_series), C=vectors(fam.psi_series))
+
+
+def corner_table(t, alpha=None):
+    """The pure corner: column -q carries (-1)^q alpha_{d_q} at row d_q - q."""
+    if alpha is None:
+        alpha = solve_alpha(t)
+    cells = {}
+    for q, d in enumerate(t.B):
+        cells[(d - q, -q)] = (-1) ** q * alpha.values[d]
+    return HyperTable.build((-len(t.B) + 1, 0), cells)
+
+
+def supernatural_poly(rs):
+    """(scale / delta!) * prod_k (t - r_k)."""
+    p = RatPoly([Fraction(rs.scale, factorial(rs.delta))])
+    for r in rs.roots:
+        p = p * RatPoly([-r, 1])
+    return p
 
 
 def balanced_by_strand_starts(lo, hi, X, Y):

@@ -10,11 +10,12 @@ from triplets import (
     eagon_northcott,
     pure_zip,
     schur_roots,
-    supernatural_poly,
     supernatural_table,
     tensor_roots,
 )
 from triplets.classical import cohomology_row
+
+from oracles import supernatural_poly
 
 
 def test_root_sequence_validation():
@@ -33,6 +34,12 @@ def test_supernatural_poly():
     p = supernatural_poly(rs)
     # (2/2!) (t+1)(t+2)
     assert [p(t) for t in (0, 1, -1, -3)] == [2, 6, 0, 2]
+    # The library's int-product values agree with the polynomial.
+    tab = supernatural_table(rs, window=(-8, 4))
+    for t in range(-6, 3):
+        assert tab.dim(cohomology_row(rs, t), t) == abs(p(t))
+    report = pure_zip(rs, 5)
+    assert report.ranks == tuple(comb(5, d) * abs(p(-d)) for d in report.degrees)
 
 
 def test_cohomology_row():

@@ -1,7 +1,11 @@
+import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,12 @@ from triplets import ConsistencyError, HyperTable, Overdetermined, enumerate_tri
 from triplets.cli import main
 
 T64_ARGS = ["--n", "4", "--B", "0,1,2", "--H", "0,2,4", "--C", "2,3,4"]
+T64_LINE = '{"n": 4, "B": [0, 1, 2], "H": [0, 2, 4], "C": [2, 3, 4]}\n'
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# sha256 of the `solve --stdin` text output over every triplet with n <= 6,
+# in enumeration order: support, alpha and the P(d) = line of each.
+SOLVE_TEXT_N6_SHA256 = "43320d123236bbdc0ec1bbc4d73c61094b1d5f7806867e446ca7fa719a019f13"
 
 
 def run(capsys, *argv):
@@ -42,6 +52,33 @@ def test_solve_text(capsys):
     code, out, _ = run(capsys, "solve", *T64_ARGS)
     assert code == 0
     assert "support: 0,1,2" in out and "alpha: 3,-3,2" in out and "P(d) =" in out
+    assert out.splitlines()[2] == "P(d) = 3 + 1/4*d + 7/8*d^2 + 3/4*d^3 + 1/8*d^4"
+
+
+def test_solve_text_digest(capsys, monkeypatch):
+    text = "".join(t.to_json() + "\n" for n in range(1, 7) for t in enumerate_triplets(n))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "solve", "--stdin")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_TEXT_N6_SHA256
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "--n", "6"], ["solve", "--stdin"]])
+def test_closed_pipe_exits_quietly(argv, tmp_path):
+    # The reader takes one line and closes the pipe while output is pending.
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text(T64_LINE * 5000)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    with open(batch) as stdin:
+        proc = subprocess.Popen([sys.executable, "-m", "triplets.cli", *argv], stdin=stdin,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+    assert first.startswith(b'{"n": 6, ' if argv[0] == "enumerate" else b"support: 0,1,2")
 
 
 def test_betti_json(capsys):
@@ -199,6 +236,13 @@ def test_zip_command(capsys):
         "is_resolution": True,
         "is_cm": True,
     }
+
+
+def test_zip_warning_is_one_line(capsys):
+    code, out, err = run(capsys, "zip", "--roots=-1,-2,-3", "--n", "1")
+    assert code == 0
+    assert out == "degrees: 0\nranks: 1\nresolution: True\ncohen-macaulay: False\n"
+    assert err == "warning: n = 1 is smaller than the root count 3\n"
 
 
 def test_classical_subcommands(capsys):

@@ -84,8 +84,9 @@ def test_enumerate_is_lazy(monkeypatch):
     t = next(iter(enumerate_triplets(8)))
     assert built == [t]  # one triplet built, not the 175560 of the census
     assert (t.B, t.H, t.C) == ((0,), tuple(range(9)), (8,))
+    monkeypatch.setenv("TRIPLETS_MAX_N", "8")
     with pytest.raises(ValueError):
-        enumerate_triplets(9, max_n=8)  # raised by the call, before any next()
+        enumerate_triplets(9)  # raised by the call, before any next()
 
 
 def brute_force_triplets(n):
@@ -133,8 +134,18 @@ def test_enumerate_guard(monkeypatch):
     monkeypatch.setenv("TRIPLETS_MAX_N", "2")
     with pytest.raises(ValueError):
         enumerate_triplets(3)
-    # explicit bound overrides the env
-    assert len(list(enumerate_triplets(3, max_n=3))) == GOLDEN_COUNTS[3]
+    monkeypatch.setenv("TRIPLETS_MAX_N", "3")
+    assert len(list(enumerate_triplets(3))) == GOLDEN_COUNTS[3]
+
+
+def test_enumerate_default_bound(monkeypatch):
+    # Unset, the bound is 9: n = 9 finishes (about 10^6 triplets) and
+    # n = 10 is refused when called.
+    monkeypatch.delenv("TRIPLETS_MAX_N", raising=False)
+    assert core.DEFAULT_MAX_N == 9
+    next(iter(enumerate_triplets(9)))
+    with pytest.raises(ValueError, match="exceeds bound 9"):
+        enumerate_triplets(10)
 
 
 def test_count_equation_lemma():

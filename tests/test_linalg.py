@@ -6,17 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triplets import (
+from triplets import nullspace
+from triplets.linalg import newton_series, newton_values, row_echelon
+
+from oracles import (
     RatPoly,
+    _naive_nullspace,
     basis_poly,
     binom_poly,
+    degree_drop_equations,
     from_basis,
     in_basis,
-    nullspace,
+    int_rows,
+    newton_poly,
 )
-from triplets.linalg import newton_poly, newton_series, newton_values, row_echelon
-
-from oracles import _naive_nullspace, degree_drop_equations, int_rows
 
 
 def test_ratpoly_arithmetic():

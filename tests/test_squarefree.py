@@ -6,23 +6,26 @@ import pytest
 
 from triplets import (
     ConsistencyError,
-    RatPoly,
     betti,
-    binom_poly,
-    chi_family,
     enumerate_triplets,
-    homological_data,
-    hsq_from_series,
-    hsq_of_reduction,
-    hsq_series,
     rotated_betti_via_strands,
-    sheaf_class_decompose,
     solve_alpha,
     triplet_betti,
     validate_triplet,
 )
 
-from oracles import betti_kpolynomial, hsq_kpolynomial, reduction_kpoly
+from oracles import (
+    RatPoly,
+    betti_kpolynomial,
+    binom_poly,
+    homological_data,
+    hsq_from_series,
+    hsq_kpolynomial,
+    hsq_of_reduction,
+    hsq_series,
+    reduction_kpoly,
+    sheaf_class_decompose,
+)
 
 
 def test_hsq_series_goldens():
