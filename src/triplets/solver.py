@@ -135,12 +135,13 @@ def _truncated_family(lo, hi, X, series, what, t):
             flags.append((what, q))
         family.append(tuple(chi))
         first = m + 1
-    # Euler sum: both sides have degree <= n, so n+1 points decide it.
+    # Euler sum: a polynomial of degree <= n is its Newton series, so the
+    # signed series are added termwise, with nothing evaluated.
     total = [0] * len(series)
     for q, chi in enumerate(family):
-        for d, v in enumerate(newton_values(chi, 0, len(series))):
-            total[d] += -v if q % 2 else v
-    if total != newton_values(series, 0, len(series)):
+        for i, v in enumerate(chi):
+            total[i] += -v if q % 2 else v
+    if total != list(series):
         raise ConsistencyError("%s family does not sum to its Hilbert polynomial for %r" % (what, t))
     return family, flags
 
@@ -152,10 +153,10 @@ def chi_family(t, alpha):
     # The dual triplet has H* = C and the same b.
     psis, psi_flags = _truncated_family(t.c, n - t.b, t.C, ad.series, "psi", t)
     # P*(d) = (-1)^(|B|-1-n) P(-n-d); both sides have degree <= n, so
-    # agreement at d = 0..n is agreement as polynomials.
+    # agreement at the n+1 points d = -n..0 is agreement as polynomials.
     sign = -1 if (len(t.B) - 1 - n) % 2 else 1
-    mirrored = newton_values(alpha.series, -2 * n, 1 - n)[::-1]
-    if any(v != sign * w for v, w in zip(newton_values(ad.series, 0, n + 1), mirrored)):
+    mirrored = newton_values(alpha.series, -n, 1)[::-1]
+    if any(v != sign * w for v, w in zip(newton_values(ad.series, -n, 1), mirrored)):
         raise ConsistencyError("dual Hilbert polynomial identity failed for %r" % (t,))
 
     return ChiFamily(tuple(chis), tuple(psis), tuple(chi_flags + psi_flags))

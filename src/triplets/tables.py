@@ -49,26 +49,20 @@ class HyperTable:
     def rows(self):
         return sorted({j for j, _, _ in self.entries}, reverse=True)
 
-    def euler(self, t, rows=None):
-        """sum_j (-1)^j entry(j, j + t) over the given rows."""
-        if rows is None:
-            rows = [j for j, _, _ in self.entries]
-        cells = self.as_dict
-        return sum((-1 if j % 2 else 1) * cells.get((j, j + t), 0) for j in set(rows))
-
     def to_json(self):
-        return json.dumps(
-            {
-                "window": list(self.window),
-                "entries": [{"row": j, "col": p, "dim": v} for j, p, v in self.entries],
-            }
-        )
+        """The bytes json.dumps gives for {"window": [..], "entries": [{"row", "col", "dim"}, ..]}."""
+        entries = ", ".join('{"row": %d, "col": %d, "dim": %d}' % e for e in self.entries)
+        return '{"window": [%d, %d], "entries": [%s]}' % (*self.window, entries)
 
     @classmethod
     def from_json(cls, text):
+        # to_json formats with %d, which would coerce a bool or a float.
         d = json.loads(text)
-        cells = {(e["row"], e["col"]): e["dim"] for e in d["entries"]}
-        return cls.build(tuple(d["window"]), cells)
+        window = tuple(d["window"])
+        entries = [(e["row"], e["col"], e["dim"]) for e in d["entries"]]
+        if len(window) != 2 or any(type(x) is not int for e in (window, *entries) for x in e):
+            raise ValueError("table window, rows, columns and dims must be integers")
+        return cls.build(window, {(j, p): v for j, p, v in entries})
 
     def render(self):
         return render(self)
@@ -122,14 +116,19 @@ def full_table(t, alpha=None, window=None, fam=None):
 
 
 def _assert_euler(table, t, alpha):
+    """sum_j (-1)^j entry(j, j + t) = P(t) on every twist whose diagonal over
+    the rows -s_H..n+1-|B|+s_C (homology, corner and dual) fits the window."""
     lo, hi = table.window
-    rows = list(range(-t.s_H, t.n + 2 - len(t.B) + t.s_C + 1)) + [d - q for q, d in enumerate(t.B)]
-    rows = sorted(set(rows))
-    # Only twists whose whole diagonal lies inside the window can be checked.
-    first = lo - min(rows)
-    p_vals = newton_values(alpha.series, first, hi - max(rows) + 1)
-    for twist, value in enumerate(p_vals, first):
-        if table.euler(twist, rows) != value:
+    row_lo, row_hi = -t.s_H, t.n + 1 - len(t.B) + t.s_C
+    first = lo - row_lo
+    sums = [0] * max(hi - row_hi + 1 - first, 0)
+    for j, p, v in table.entries:
+        k = p - j - first
+        if row_lo <= j <= row_hi and 0 <= k < len(sums):
+            sums[k] += -v if j % 2 else v
+    values = newton_values(alpha.series, first, first + len(sums))
+    for twist, (s, value) in enumerate(zip(sums, values), first):
+        if s != value:
             raise ConsistencyError("Euler consistency fails at twist %d for %r" % (twist, t))
 
 

@@ -211,6 +211,14 @@ def corner_table(t, alpha=None):
     return HyperTable.build((-len(t.B) + 1, 0), cells)
 
 
+def table_euler(table, t, rows=None):
+    """sum_j (-1)^j entry(j, j + t) over the given rows (default: every row of the table)."""
+    if rows is None:
+        rows = [j for j, _, _ in table.entries]
+    cells = table.as_dict
+    return sum((-1 if j % 2 else 1) * cells.get((j, j + t), 0) for j in set(rows))
+
+
 def supernatural_poly(rs):
     """(scale / delta!) * prod_k (t - r_k)."""
     p = RatPoly([Fraction(rs.scale, factorial(rs.delta))])

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from triplets import (
+    AlphaVector,
     ConsistencyError,
     betti,
     build_equations,
@@ -145,3 +146,19 @@ def test_bad_alpha_rejected(t64):
         dual_alpha(bad)
     with pytest.raises(ConsistencyError):
         betti(t64, bad)
+
+
+def test_dual_identity_catches_a_perturbed_dual(t64, monkeypatch):
+    import triplets.solver
+
+    a = solve_alpha(t64)
+
+    def perturbed(alpha):
+        ad = dual_alpha(alpha)
+        values = list(ad.values)
+        values[ad.support[1]] += 1  # leave the leading value and its sign check alone
+        return AlphaVector(ad.n, ad.support, tuple(values))
+
+    monkeypatch.setattr(triplets.solver, "dual_alpha", perturbed)
+    with pytest.raises(ConsistencyError, match="dual Hilbert polynomial identity failed"):
+        chi_family(t64, a)

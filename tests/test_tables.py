@@ -1,20 +1,27 @@
+import json
+
 import pytest
 
 from triplets import (
+    ConsistencyError,
     HyperTable,
+    RootSequence,
     betti,
     chi_family,
     enumerate_triplets,
     full_table,
+    eagon_northcott,
     render,
+    schur_roots,
     solve_alpha,
+    supernatural_table,
     tate_terms,
     validate_triplet,
     zip_terms,
 )
-from triplets.tables import default_window
+from triplets.tables import _assert_euler, default_window
 
-from oracles import corner_table, newton_poly
+from oracles import corner_table, newton_poly, table_euler
 
 T64_RENDER = (
     "87 33  8  .  .  .  .   .   .  | 2\n"
@@ -62,6 +69,33 @@ def test_table_json_roundtrip(t64_table):
     assert again == t64_table
 
 
+def _old_to_json(table):
+    return json.dumps(
+        {"window": list(table.window), "entries": [{"row": j, "col": p, "dim": v} for j, p, v in table.entries]}
+    )
+
+
+def test_table_json_matches_json_dumps(t64, t42, t64_table, ip1_table):
+    tables = [t64_table, ip1_table, full_table(t64, window=(-5, 3)), full_table(t42, window=(-5, 3))]
+    tables += [full_table(t) for n in range(1, 6) for t in enumerate_triplets(n)]
+    roots = [RootSequence(()), RootSequence((3, 1, -2), scale=6), RootSequence((0, -2, -3), scale=3)]
+    roots += [eagon_northcott(w) for w in range(2, 6)] + [RootSequence(schur_roots((1, 0)).roots, scale=2)]
+    tables += [supernatural_table(rs) for rs in roots] + [supernatural_table(roots[1], window=(-2, 2))]
+    tables.append(HyperTable.build((0, 2), {}))
+    for tab in tables:
+        assert tab.to_json() == _old_to_json(tab)
+
+
+@pytest.mark.parametrize("bad", ["true", "2.0", '"3"'])
+def test_table_from_json_rejects_non_int_dims(bad):
+    with pytest.raises(ValueError):
+        HyperTable.from_json('{"window": [-1, 1], "entries": [{"row": 0, "col": 0, "dim": %s}]}' % bad)
+    with pytest.raises(ValueError):
+        HyperTable.from_json('{"window": [-1, 1], "entries": [{"row": %s, "col": 0, "dim": 1}]}' % bad)
+    with pytest.raises(ValueError):
+        HyperTable.from_json('{"window": [-1, %s], "entries": []}' % bad)
+
+
 def test_render_empty():
     assert HyperTable.build((0, 2), {}).render() == "-------\n0 1 2  | d\\i"
 
@@ -77,7 +111,47 @@ def test_window_validation(t64):
 def test_euler_method(t64, t64_table):
     p = newton_poly(solve_alpha(t64).series)
     for twist in range(-7, 2):
-        assert t64_table.euler(twist) == p(twist)
+        assert table_euler(t64_table, twist) == p(twist)
+
+
+def _bump(table, j, p):
+    cells = dict(table.as_dict)
+    cells[(j, p)] = cells.get((j, p), 0) + 1
+    return HyperTable.build(table.window, cells)
+
+
+def test_euler_check_names_the_tampered_twist():
+    # +1 on any cell raises iff its diagonal is checked: the twists whose
+    # diagonal over rows -s_H..n+1-|B|+s_C lies inside the window.
+    for n in range(1, 4):
+        for t in enumerate_triplets(n):
+            a = solve_alpha(t)
+            tab = full_table(t, a)
+            (lo, hi), row_lo, row_hi = tab.window, -t.s_H, n + 1 - len(t.B) + t.s_C
+            for j, p, _ in tab.entries:
+                twist = p - j
+                if lo - row_lo <= twist <= hi - row_hi:
+                    with pytest.raises(ConsistencyError, match="at twist %d for" % twist):
+                        _assert_euler(_bump(tab, j, p), t, a)
+                else:
+                    _assert_euler(_bump(tab, j, p), t, a)
+
+
+def test_euler_check_reaches_twist_n_in_sweep_window(t64, t42):
+    # The criterion-6 window puts every diagonal over twists [-2n, n] inside
+    # it; the top twist n is checked, n + 1 is not.
+    triplets = [t64, t42] + list(enumerate_triplets(5))[::199]
+    triplets += list(enumerate_triplets(6))[::997]
+    for t in triplets:
+        a = solve_alpha(t)
+        row_lo = -t.s_H
+        row_hi = max([t.n + 1 - len(t.B) + t.s_C] + [d - q for q, d in enumerate(t.B)])
+        tab = full_table(t, a, window=(-2 * t.n + row_lo, t.n + row_hi))
+        with pytest.raises(ConsistencyError, match="at twist %d for" % t.n):
+            _assert_euler(_bump(tab, 0, t.n), t, a)
+        with pytest.raises(ConsistencyError, match="at twist %d for" % (-2 * t.n)):
+            _assert_euler(_bump(tab, row_lo, row_lo - 2 * t.n), t, a)
+        _assert_euler(_bump(tab, row_lo, row_lo + t.n + 1), t, a)
 
 
 def test_corner_goldens(t64, t42):
