@@ -5,8 +5,9 @@ tensor) realized as pure zip complexes.
 A root sequence r_1 > ... > r_delta with positive scale c defines the
 polynomial P(t) = (c / delta!) prod (t - r_k).  The sheaf it governs has at
 most one nonzero cohomology row per twist: row i on the open interval
-between r_{i+1} and r_i, with dimension |P(t)|.  Each value is the one
-rational factor c / delta! times the int product prod (t - r_k).
+between r_{i+1} and r_i, with dimension |P(t)|.  Values are computed in
+int as c.numerator * |prod (t - r_k)| // (c.denominator * delta!), and a
+value that is not an integer raises ConsistencyError naming the fraction.
 """
 
 import warnings
@@ -15,7 +16,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from .errors import ConsistencyError
-from .tables import HyperTable
+from .tables import HyperTable, default_window
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,8 @@ class RootSequence:
     def __post_init__(self):
         object.__setattr__(self, "roots", tuple(self.roots))
         object.__setattr__(self, "scale", Fraction(self.scale))
+        if not all(isinstance(r, int) for r in self.roots):
+            raise ValueError("roots must be integers: %r" % (self.roots,))
         if any(b >= a for a, b in zip(self.roots, self.roots[1:])):
             raise ValueError("roots must be strictly decreasing: %r" % (self.roots,))
         if self.scale <= 0:
@@ -36,32 +39,35 @@ class RootSequence:
         return len(self.roots)
 
 
-def _as_int(x, what):
-    if x.denominator != 1:
-        raise ConsistencyError("%s is not an integer: %s" % (what, x))
-    return x.numerator
-
-
 def cohomology_row(rs, twist):
     """Row index holding the (unique) nonzero cohomology at this twist."""
     return sum(1 for r in rs.roots if r > twist)
 
 
+def _scaled_value(rs, m, t, what):
+    """m * |P(t)| as an int; ConsistencyError when it is not one."""
+    num = m * rs.scale.numerator * abs(prod(t - r for r in rs.roots))
+    den = rs.scale.denominator * factorial(rs.delta)
+    value, rest = divmod(num, den)
+    if rest:
+        raise ConsistencyError("%s is not an integer: %s" % (what, Fraction(num, den)))
+    return value
+
+
 def supernatural_table(rs, window=None):
-    """HyperTable of the supernatural sheaf: entry(i, i + t) = |P(t)|."""
+    """HyperTable of the supernatural sheaf: entry(i, i + t) = |P(t)|.
+
+    The row of twist t is i = cohomology_row(rs, t) in [0, delta], so the
+    twists that reach a column of the window are lo - delta..hi.
+    """
     if window is None:
-        window = (-rs.delta - 6, 5)
+        window = default_window(rs.delta)
     lo, hi = window
-    factor = rs.scale / factorial(rs.delta)
     cells = {}
-    for i in range(rs.delta + 1):
-        for col in range(lo, hi + 1):
-            t = col - i
-            if cohomology_row(rs, t) != i:
-                continue
-            v = abs(factor * prod(t - r for r in rs.roots))
-            if v:
-                cells[(i, col)] = _as_int(v, "supernatural")
+    for t in range(lo - rs.delta, hi + 1):
+        i = cohomology_row(rs, t)
+        if lo <= i + t <= hi:
+            cells[(i, i + t)] = _scaled_value(rs, 1, t, "supernatural")
     return HyperTable.build(window, cells)
 
 
@@ -85,10 +91,9 @@ def pure_zip(rs, n):
         raise ValueError("need n >= 0, got %d" % n)
     if n < rs.delta:
         warnings.warn("n = %d is smaller than the root count %d" % (n, rs.delta))
-    factor = rs.scale / factorial(rs.delta)
     negated = {-r for r in rs.roots}
     degrees = tuple(d for d in range(n + 1) if d not in negated)
-    ranks = tuple(_as_int(comb(n, d) * abs(factor * prod(-d - r for r in rs.roots)), "rank") for d in degrees)
+    ranks = tuple(_scaled_value(rs, comb(n, d), -d, "rank") for d in degrees)
     is_resolution = rs.delta == 0 or rs.roots[0] <= 0
     is_cm = is_resolution and (rs.delta == 0 or -n <= rs.roots[-1])
     return PureComplexReport(n, degrees, ranks, is_resolution, is_cm)

@@ -201,7 +201,7 @@ def _run(args, parser):
         elif cmd == "triplet":
             diagrams = triplet_betti(t)
             if args.json:
-                print(json.dumps({"diagrams": [json.loads(d.to_json()) for d in diagrams]}))
+                print('{"diagrams": [%s]}' % ", ".join(d.to_json() for d in diagrams))
             else:
                 for label, d in zip(("T", "rotate(T)", "rotate^2(T)"), diagrams):
                     print(label + ":")

@@ -89,7 +89,7 @@ class HomologyTriplet:
         for name in "BHC":
             if type(d[name]) is not list or any(type(x) is not int for x in d[name]):
                 raise TripletError("record", "%s must be a list of integers, got %r" % (name, d[name]))
-        return cls(d["n"], tuple(d["B"]), tuple(d["H"]), tuple(d["C"]))
+        return validate_triplet(d["n"], d["B"], d["H"], d["C"])
 
 
 def _check(t):
@@ -133,7 +133,8 @@ def _check(t):
 
 
 def validate_triplet(n, B, H, C):
-    """Validate (n, B, H, C); returns the triplet or raises TripletError."""
+    """Validate (n, B, H, C), each set in any order; returns the triplet or
+    raises TripletError.  `HomologyTriplet.from_json` ends here too."""
     return HomologyTriplet(n, tuple(sorted(B)), tuple(sorted(H)), tuple(sorted(C)))
 
 

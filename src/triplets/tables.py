@@ -142,38 +142,26 @@ class ZipTerm:
         return tuple((twist, comb(n, a) * m) for a, twist, m in self.terms)
 
 
-def _cohomology_fn(h):
-    if isinstance(h, HyperTable):
-        return h.dim
-    return h
-
-
 def zip_terms(h, n, p):
-    """Terms of the zip complex in homological position p.
+    """Terms of the zip complex of the HyperTable h in homological position p.
 
     The term for cohomological row j is wedge^{p+j} V tensor S(-p-j) with
-    multiplicity h(j, -p-j); only 0 <= p+j <= n contributes.
+    multiplicity h.dim(j, -p-j); only 0 <= p+j <= n contributes.
     """
-    fn = _cohomology_fn(h)
     terms = []
     for a in range(n + 1):
-        j = a - p
-        m = fn(j, -a)
+        m = h.dim(a - p, -a)
         if m:
             terms.append((a, -a, m))
     return ZipTerm(p, tuple(terms))
 
 
-def tate_terms(h, p, rows=None):
-    """Multiset of (generator twist j - p, multiplicity h(j, p - j)) at column p."""
-    fn = _cohomology_fn(h)
-    if rows is None:
-        if not isinstance(h, HyperTable):
-            raise ValueError("rows must be given for a plain cohomology function")
-        rows = h.rows()
+def tate_terms(h, p):
+    """Multiset of (generator twist j - p, multiplicity h.dim(j, p - j)) at
+    column p of the HyperTable h, rows descending."""
     out = []
-    for j in sorted(set(rows), reverse=True):
-        m = fn(j, p - j)
+    for j in h.rows():
+        m = h.dim(j, p - j)
         if m:
             out.append((j - p, m))
     return tuple(out)

@@ -3,13 +3,14 @@ against.  They are slow on purpose: plain RatPoly arithmetic, no shortcuts.
 
 The library holds every polynomial as an integer Newton series; the exact
 Fraction polynomials, the basis P_{n,i}, the K-polynomial layer and the
-polynomial forms of the supernatural and corner data live here.
+polynomial forms of the supernatural and corner data live here, with a
+Fraction (row, column) double loop for supernatural tables and zip ranks.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 
 from triplets import BettiDiagram, ConsistencyError, HyperTable, betti, chi_family, dual_alpha, solve_alpha, strand_starts
 from triplets.linalg import newton_series
@@ -225,6 +226,33 @@ def supernatural_poly(rs):
     for r in rs.roots:
         p = p * RatPoly([-r, 1])
     return p
+
+
+def supernatural_cells(rs, window):
+    """{(i, col): |P(col - i)|} over the nonzero cells, as Fractions: every
+    (row, column) pair of the window, kept where the row is the twist's
+    cohomology row."""
+    lo, hi = window
+    factor = rs.scale / factorial(rs.delta)
+    cells = {}
+    for i in range(rs.delta + 1):
+        for col in range(lo, hi + 1):
+            t = col - i
+            if sum(1 for r in rs.roots if r > t) != i:
+                continue
+            v = abs(factor * prod(t - r for r in rs.roots))
+            if v:
+                cells[(i, col)] = v
+    return cells
+
+
+def pure_zip_ranks(rs, n):
+    """((d, C(n, d) |P(-d)|), ...) over the degrees d in [0, n] that are not
+    negated roots, as Fractions."""
+    factor = rs.scale / factorial(rs.delta)
+    return tuple(
+        (d, comb(n, d) * abs(factor * prod(-d - r for r in rs.roots))) for d in range(n + 1) if -d not in rs.roots
+    )
 
 
 def balanced_by_strand_starts(lo, hi, X, Y):

@@ -1,10 +1,12 @@
+import random
 import warnings
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, gcd, prod
 
 import pytest
 
 from triplets import (
+    ConsistencyError,
     RootSequence,
     buchsbaum_rim,
     eagon_northcott,
@@ -12,10 +14,44 @@ from triplets import (
     schur_roots,
     supernatural_table,
     tensor_roots,
+    zip_terms,
 )
 from triplets.classical import cohomology_row
 
-from oracles import supernatural_poly
+from oracles import pure_zip_ranks, supernatural_cells, supernatural_poly
+
+
+def _seeded_sequences(seed, count=150):
+    """(RootSequence, n), n in [max(1, delta), 10], from the four families
+    and from arbitrary roots in [-8, 5], which may be positive.
+
+    The scale is delta! * k / g, with g the gcd of prod (t - r) over the
+    twists -30..20.  These are more than delta + 1 consecutive twists, so g
+    divides the product at every integer t and every value is an integer.
+    """
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        family = k % 5
+        if family == 0:
+            roots = eagon_northcott(rng.randint(2, 8)).roots
+        elif family == 1:
+            roots = buchsbaum_rim(rng.randint(1, 5), rng.randint(1, 5)).roots
+        elif family == 2:
+            roots = schur_roots(sorted((rng.randint(-1, 4) for _ in range(rng.randint(1, 4))), reverse=True)).roots
+        elif family == 3:
+            dims, weights, u = [], [], rng.randint(0, 2)
+            for _ in range(rng.randint(1, 3)):
+                dims.append(rng.randint(1, 4))
+                weights.append(u)
+                u += dims[-1] - 1 + rng.randint(0, 2)
+            roots = tensor_roots(dims, weights).roots
+        else:
+            roots = tuple(sorted(rng.sample(range(-8, 6), rng.randint(0, 5)), reverse=True))
+        g = gcd(*(prod(t - r for r in roots) for t in range(-30, 21)))
+        rs = RootSequence(roots, Fraction(factorial(len(roots)) * rng.randint(1, 3), g))
+        out.append((rs, rng.randint(max(1, rs.delta), 10)))
+    return out
 
 
 def test_root_sequence_validation():
@@ -26,6 +62,10 @@ def test_root_sequence_validation():
         RootSequence((1, 2))
     with pytest.raises(ValueError):
         RootSequence((0,), scale=0)
+    # Values are int products, so a float or Fraction root is refused up front.
+    for roots in [(-0.5,), (-1.5,), (Fraction(-3, 2),)]:
+        with pytest.raises(ValueError, match="roots must be integers"):
+            RootSequence(roots, scale=2)
     assert RootSequence(()).delta == 0
 
 
@@ -149,3 +189,46 @@ def test_pure_zip_partition_and_warning():
     with pytest.raises(ValueError):
         pure_zip(rs, -1)
     assert pure_zip(RootSequence(()), 0).degrees == (0,)
+
+
+def test_supernatural_table_matches_fraction_oracle():
+    rng = random.Random(8)
+    for rs, n in _seeded_sequences(81):
+        top, bottom = (rs.roots[0], rs.roots[-1]) if rs.delta else (0, 0)
+        lo = rng.randint(bottom - 5, top + 5)
+        windows = [
+            (-rs.delta - 6, 5),  # the default window
+            (lo, lo + rng.randint(0, max(rs.delta - 2, 0))),  # narrower than delta
+            (bottom - 2 * rs.delta - 8, bottom - rs.delta - 1),  # every twist below the roots
+            (top + rs.delta + 1, top + rs.delta + 8),  # every twist above the roots
+        ]
+        for window in windows:
+            assert supernatural_table(rs, window).as_dict == supernatural_cells(rs, window)
+        assert supernatural_table(rs) == supernatural_table(rs, windows[0])
+        report = pure_zip(rs, n)
+        assert tuple(zip(report.degrees, report.ranks)) == pure_zip_ranks(rs, n)
+
+
+def test_non_integral_values_raise():
+    rs = RootSequence((-1, -2), scale=Fraction(1, 3))  # P(t) = (t + 1)(t + 2) / 6
+    window = (-8, 5)
+    bad = {v for v in supernatural_cells(rs, window).values() if v.denominator != 1}
+    with pytest.raises(ConsistencyError) as exc:
+        supernatural_table(rs, window)
+    assert str(exc.value) in {"supernatural is not an integer: %s" % v for v in bad}
+    first = next(v for _, v in pure_zip_ranks(rs, 4) if v.denominator != 1)
+    with pytest.raises(ConsistencyError, match="^rank is not an integer: %s$" % first):
+        pure_zip(rs, 4)
+
+
+def test_pure_zip_matches_zip_construction():
+    # The zip complex of the supernatural table on the window (-n, delta):
+    # its ranks, summed over every homological position, are pure_zip's.
+    for rs, n in _seeded_sequences(82):
+        table = supernatural_table(rs, window=(-n, rs.delta))
+        ranks = {}
+        for p in range(-rs.delta - 1, n + 2):
+            for twist, rank in zip_terms(table, n, p).ranks(n):
+                ranks[-twist] = ranks.get(-twist, 0) + rank
+        report = pure_zip(rs, n)
+        assert sorted(ranks.items()) == list(zip(report.degrees, report.ranks))

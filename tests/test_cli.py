@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triplets import ConsistencyError, HyperTable, Overdetermined, enumerate_triplets, validate_triplet
+from triplets import ConsistencyError, HyperTable, Overdetermined, enumerate_triplets, triplet_betti, validate_triplet
 from triplets.cli import main
 
 T64_ARGS = ["--n", "4", "--B", "0,1,2", "--H", "0,2,4", "--C", "2,3,4"]
@@ -97,6 +97,30 @@ def test_triplet_command(capsys):
             {"twists": [2, 3, 4], "ranks": [12, 12, 3]},
         ]
     }
+
+
+def test_triplet_json_matches_json_dumps(capsys, monkeypatch):
+    ts = [t for n in range(1, 6) for t in enumerate_triplets(n)]
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(t.to_json() + "\n" for t in ts)))
+    code, out, err = run(capsys, "triplet", "--stdin", "--json")
+    assert code == 0 and err == ""
+    old = "".join(
+        json.dumps({"diagrams": [json.loads(d.to_json()) for d in triplet_betti(t)]}) + "\n" for t in ts
+    )
+    assert out == old
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "betti", "triplet", "table"])
+def test_permuted_record_same_through_flags_and_stdin(capsys, monkeypatch, command):
+    flags = run(capsys, command, "--n", "4", "--B", "2,1,0", "--H", "4,0,2", "--C", "3,4,2")
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 4, "B": [2, 1, 0], "H": [4, 0, 2], "C": [3, 4, 2]}\n'))
+    assert run(capsys, command, "--stdin") == flags
+    assert flags == run(capsys, command, *T64_ARGS)
+    # A repeated element is still refused on both paths.
+    code, out, err = run(capsys, command, "--n", "4", "--B", "0,1,1,2", "--H", "0,2,4", "--C", "2,3,4")
+    assert (code, out) == (2, "") and err.startswith("invalid triplet (interval: B not strictly increasing")
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 4, "B": [0, 1, 1, 2], "H": [0, 2, 4], "C": [2, 3, 4]}\n'))
+    assert run(capsys, command, "--stdin") == (code, out, err)
 
 
 def test_table_render_golden(capsys):

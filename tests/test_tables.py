@@ -197,11 +197,6 @@ def test_zip_terms_single_cell():
         assert zip_terms(h, 3, p).terms == ()
 
 
-def test_zip_accepts_plain_function():
-    fn = lambda j, t: 1 if (j, t) == (0, 0) else 0
-    assert zip_terms(fn, 3, 0).terms == ((0, 0, 1),)
-
-
 def test_zip_of_corner_reproduces_betti():
     for n in range(1, 5):
         for t in enumerate_triplets(n):
@@ -215,9 +210,6 @@ def test_zip_of_corner_reproduces_betti():
 def test_tate_terms(ip1_table, t64, t64_table):
     assert tate_terms(ip1_table, -2) == ((4, 1), (3, 1))
     assert tate_terms(t64_table, -3) == ((5, 8),)
-    assert tate_terms(ip1_table, -2, rows=(2, 1, 0)) == ((4, 1), (3, 1))
-    with pytest.raises(ValueError):
-        tate_terms(lambda j, p: 0, -2)  # rows required for a plain function
 
 
 def test_dual_table_role_exchange(t64):
