@@ -8,12 +8,13 @@ most one nonzero cohomology row per twist: row i on the open interval
 between r_{i+1} and r_i, with dimension |P(t)|.  Values are computed in
 int as c.numerator * |prod (t - r_k)| // (c.denominator * delta!), and a
 value that is not an integer raises ConsistencyError naming the fraction.
+The family constructors choose the least scale that makes P integer-valued.
 """
 
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 from .errors import ConsistencyError
 from .tables import HyperTable, default_window
@@ -27,7 +28,7 @@ class RootSequence:
     def __post_init__(self):
         object.__setattr__(self, "roots", tuple(self.roots))
         object.__setattr__(self, "scale", Fraction(self.scale))
-        if not all(isinstance(r, int) for r in self.roots):
+        if not all(type(r) is int for r in self.roots):  # a bool is refused too
             raise ValueError("roots must be integers: %r" % (self.roots,))
         if any(b >= a for a, b in zip(self.roots, self.roots[1:])):
             raise ValueError("roots must be strictly decreasing: %r" % (self.roots,))
@@ -71,6 +72,13 @@ def supernatural_table(rs, window=None):
     return HyperTable.build(window, cells)
 
 
+def _integral(roots):
+    """RootSequence with the least scale making P integer-valued: delta! / g,
+    g = gcd of prod (t - r) over the delta + 1 consecutive twists 0..delta."""
+    g = gcd(*(prod(t - r for r in roots) for t in range(len(roots) + 1)))
+    return RootSequence(roots, Fraction(factorial(len(roots)), g))
+
+
 @dataclass(frozen=True)
 class PureComplexReport:
     n: int
@@ -103,14 +111,14 @@ def eagon_northcott(w):
     """Roots (-1, ..., -(w-1)) of the Eagon-Northcott complex, w >= 2."""
     if w < 2:
         raise ValueError("need w >= 2")
-    return RootSequence(tuple(range(-1, -w, -1)))
+    return _integral(tuple(range(-1, -w, -1)))
 
 
 def buchsbaum_rim(r, m):
     """Roots (-r-1, ..., -r-m) of the Buchsbaum-Rim/Eisenbud complex, r >= 1."""
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
-    return RootSequence(tuple(range(-r - 1, -r - m - 1, -1)))
+    return _integral(tuple(range(-r - 1, -r - m - 1, -1)))
 
 
 def schur_roots(lam):
@@ -125,14 +133,14 @@ def schur_roots(lam):
     if lam[-1] < -1:
         raise ValueError("need lambda_m >= -1")
     vals = [-lam[i] - m + i for i in range(m)]  # i is 0-based
-    return RootSequence(tuple(sorted(vals, reverse=True)))
+    return _integral(tuple(sorted(vals, reverse=True)))
 
 
 def tensor_roots(dims, weights):
     """Union of the intervals [-u_i - w_i + 1, -u_i - 1] as a root sequence.
 
     Requires the pinching condition u_i + w_i - 1 <= u_{i+1}; the dimension
-    is sum (w_i - 1).  The scale is taken to be 1.
+    is sum (w_i - 1).
     """
     dims = tuple(dims)
     weights = tuple(weights)
@@ -146,4 +154,4 @@ def tensor_roots(dims, weights):
     roots = []
     for u, w in zip(weights, dims):
         roots.extend(range(-u - w + 1, -u))  # w - 1 consecutive roots
-    return RootSequence(tuple(sorted(roots, reverse=True)))
+    return _integral(tuple(sorted(roots, reverse=True)))

@@ -32,9 +32,6 @@ class AlphaVector:
     support: tuple
     values: tuple  # length n+1, integers, zero off support
 
-    def __getitem__(self, i):
-        return self.values[i]
-
     def on_support(self):
         return tuple(self.values[i] for i in self.support)
 
@@ -57,8 +54,6 @@ def build_equations(t):
     for r in range(t.c, t.n - t.b + 1):
         if r not in cset:
             rows.append(tuple(comb(r, t.n - i) for i in t.B))
-    if len(rows) != len(t.B) - 1:
-        raise ConsistencyError("expected %d equation rows, built %d" % (len(t.B) - 1, len(rows)))
     return tuple(rows)
 
 
@@ -171,9 +166,6 @@ class BettiDiagram:
 
     def ranks(self):
         return tuple(e[2] for e in self.entries)
-
-    def twist_multiset(self):
-        return tuple(sorted((e[1], e[2]) for e in self.entries))
 
     def to_json(self):
         return json.dumps({"twists": list(self.twists()), "ranks": list(self.ranks())})

@@ -12,7 +12,6 @@ of values is one run of consecutive integer points, so cells are filled by
 prefix sums of differences without building a polynomial.
 """
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -53,19 +52,6 @@ class HyperTable:
         """The bytes json.dumps gives for {"window": [..], "entries": [{"row", "col", "dim"}, ..]}."""
         entries = ", ".join('{"row": %d, "col": %d, "dim": %d}' % e for e in self.entries)
         return '{"window": [%d, %d], "entries": [%s]}' % (*self.window, entries)
-
-    @classmethod
-    def from_json(cls, text):
-        # to_json formats with %d, which would coerce a bool or a float.
-        d = json.loads(text)
-        window = tuple(d["window"])
-        entries = [(e["row"], e["col"], e["dim"]) for e in d["entries"]]
-        if len(window) != 2 or any(type(x) is not int for e in (window, *entries) for x in e):
-            raise ValueError("table window, rows, columns and dims must be integers")
-        return cls.build(window, {(j, p): v for j, p, v in entries})
-
-    def render(self):
-        return render(self)
 
 
 def default_window(n):

@@ -14,7 +14,6 @@ from math import comb, factorial, lcm, prod
 
 from triplets import BettiDiagram, ConsistencyError, HyperTable, betti, chi_family, dual_alpha, solve_alpha, strand_starts
 from triplets.linalg import newton_series
-from triplets.squarefree import _hsq_of_series
 
 
 class RatPoly:
@@ -175,13 +174,20 @@ def sheaf_class_decompose(chi, delta):
     return newton_series(in_basis(chi, delta))
 
 
+def hsq_of_series(a, n):
+    """h^sq vector C(n, i) a_i, i = 0..n, of the class with Newton series a >= 0."""
+    if any(x < 0 for x in a):
+        raise ConsistencyError("negative class coefficients %r" % (a,))
+    return tuple(a[i] * comb(n, i) if i < len(a) else 0 for i in range(n + 1))
+
+
 def hsq_of_reduction(chi, delta, n):
     """h^sq vector of the squarefree reduction of a sheaf with Hilbert
     polynomial chi on P^delta, embedded for ambient n."""
     a = sheaf_class_decompose(chi, delta)
     if any(x.denominator != 1 for x in a):
         raise ConsistencyError("non-integer class coefficients %r for chi = %s" % (a, chi))
-    return _hsq_of_series(tuple(x.numerator for x in a), n)
+    return hsq_of_series(tuple(x.numerator for x in a), n)
 
 
 @dataclass(frozen=True)
@@ -197,7 +203,7 @@ def homological_data(t, alpha=None):
     fam = chi_family(t, alpha)
 
     def vectors(family):
-        return tuple(_hsq_of_series(a, t.n) for a in family)
+        return tuple(hsq_of_series(a, t.n) for a in family)
 
     return HomologicalData(B=betti(t, alpha), H=vectors(fam.chi_series), C=vectors(fam.psi_series))
 

@@ -69,9 +69,9 @@ def test_criterion_1_end_to_end():
     t = validate_triplet(4, [0, 1, 2], [0, 2, 4], [2, 3, 4])
     assert solve_alpha(t).on_support() == (3, -3, 2)
     d0, d1, d2 = triplet_betti(t)
-    assert d0.twist_multiset() == ((0, 3), (1, 12), (2, 12))
-    assert d1.twist_multiset() == ((0, 3), (2, 6), (4, 3))
-    assert d2.twist_multiset() == ((2, 12), (3, 12), (4, 3))
+    assert d0.entries == ((0, 0, 3), (1, 1, 12), (2, 2, 12))
+    assert d1.entries == ((0, 0, 3), (1, 2, 6), (2, 4, 3))
+    assert d2.entries == ((0, 2, 12), (1, 3, 12), (2, 4, 3))
 
 
 @_report(2, "n=4 example hypercohomology table cell-for-cell on columns -5..3")

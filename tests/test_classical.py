@@ -63,7 +63,7 @@ def test_root_sequence_validation():
     with pytest.raises(ValueError):
         RootSequence((0,), scale=0)
     # Values are int products, so a float or Fraction root is refused up front.
-    for roots in [(-0.5,), (-1.5,), (Fraction(-3, 2),)]:
+    for roots in [(-0.5,), (-1.5,), (Fraction(-3, 2),), (True, -1)]:
         with pytest.raises(ValueError, match="roots must be integers"):
             RootSequence(roots, scale=2)
     assert RootSequence(()).delta == 0
@@ -178,6 +178,36 @@ def test_tensor_roots():
         tensor_roots((2,), (0, 1))
     with pytest.raises(ValueError):
         tensor_roots((0,), (0,))
+
+
+def test_family_scale_is_least_integral():
+    # The constructors pick scale delta! / g, g = gcd of prod (t - r) over
+    # t = 0..delta: P is then integer-valued and its values there have gcd 1.
+    assert schur_roots((1, 0)).scale == tensor_roots((2, 2), (0, 2)).scale == 2
+    rng = random.Random(907)
+    for k in range(400):
+        if k % 4 == 0:
+            rs = eagon_northcott(rng.randint(2, 10))
+        elif k % 4 == 1:
+            rs = buchsbaum_rim(rng.randint(1, 5), rng.randint(1, 5))
+        elif k % 4 == 2:
+            rs = schur_roots(sorted((rng.randint(-1, 4) for _ in range(rng.randint(1, 4))), reverse=True))
+        else:
+            dims, weights, u = [], [], rng.randint(0, 2)
+            for _ in range(rng.randint(1, 3)):
+                dims.append(rng.randint(1, 4))
+                weights.append(u)
+                u += dims[-1] - 1 + rng.randint(0, 2)
+            rs = tensor_roots(dims, weights)
+        if k % 4 < 2:
+            assert rs.scale == 1
+        values = [rs.scale * prod(t - r for r in rs.roots) / factorial(rs.delta) for t in range(rs.delta + 1)]
+        assert all(v.denominator == 1 for v in values)
+        assert gcd(*(v.numerator for v in values)) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pure_zip(rs, rng.randint(max(1, rs.delta), 12))
+        supernatural_table(rs)
 
 
 def test_pure_zip_partition_and_warning():

@@ -27,6 +27,11 @@ def clause_of(n, B, H, C):
 def test_validation_clauses():
     assert clause_of(3, [], [0], [0]) == "interval"
     assert clause_of(3, [0, 4], [0], [0]) == "interval"
+    # bool is a subclass of int; an accepted True would print as `true`.
+    assert clause_of(4, [0, True, 2], [0, 2, 4], [2, 3, 4]) == "interval"
+    assert clause_of(True, [0, 1], [0, 1], [0, 1]) == "interval"
+    assert clause_of(4, [0, 1, 2], [0, 2, 4.0], [2, 3, 4]) == "interval"
+    assert clause_of(4, [0, "1", 2], [0, 2, 4], [2, 3, 4]) == "interval"
     assert clause_of(3, [1, 3], [0, 3], [0, 2]) == "endpoints"  # min B != min H
     assert clause_of(3, [0, 2], [0, 3], [0, 2]) == "endpoints"  # max B != n - min C
     assert clause_of(3, [0, 2], [0, 1], [0, 2]) == "endpoints"  # max C != max H
@@ -49,11 +54,6 @@ def test_rotate_dual_goldens(t42, t44, t64):
     assert t42.rotate().rotate().rotate() == t42
     assert t64.dual() == validate_triplet(4, [2, 3, 4], [2, 3, 4], [0, 2, 4])
     assert t64.dual().dual() == t64
-
-
-def test_degree_triplet(t42, t64):
-    assert t42.to_degree_triplet() == ((0, 2, 3), (1, 2, 3), (0, 2))
-    assert t64.to_degree_triplet() == ((0, 1, 2), (0, 2, 4), (2, 3, 4))
 
 
 def test_json_roundtrip(t64):
@@ -149,11 +149,13 @@ def test_enumerate_default_bound(monkeypatch):
 
 
 def test_count_equation_lemma():
-    # s_H + s_C + b = |B| - 1 is asserted in the constructor; spot-check the
-    # arithmetic for every valid triplet at n = 4.
-    for t in enumerate_triplets(4):
-        assert t.s_H + t.s_C + t.b == len(t.B) - 1
-        assert t.n == t.b + t.h + t.c + t.i_B + t.s_H + t.s_C
+    # s_H + s_C + b = |B| - 1 follows from the count clause and the
+    # definition of i_B; the constructor checks only the clause.
+    for n in range(1, 7):
+        for t in enumerate_triplets(n):
+            assert t.b >= 0
+            assert t.s_H + t.s_C + t.b == len(t.B) - 1
+            assert t.n == t.b + t.h + t.c + t.i_B + t.s_H + t.s_C
 
 
 def test_balance_holds_on_all_three_pairs():

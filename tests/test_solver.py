@@ -34,8 +34,9 @@ def test_build_equations_interval_case():
 
 
 def test_build_equations_row_count():
-    for t in enumerate_triplets(4):
-        assert len(build_equations(t)) == len(t.B) - 1
+    for n in range(1, 7):
+        for t in enumerate_triplets(n):
+            assert len(build_equations(t)) == len(t.B) - 1
 
 
 def test_solve_alpha_goldens(t64, t42, t44):
@@ -55,7 +56,7 @@ def test_alpha_vector_shape(t64):
     a = solve_alpha(t64)
     assert a.n == 4 and a.support == (0, 1, 2)
     assert a.values == (3, -3, 2, 0, 0)
-    assert a[1] == -3
+    assert a.values[1] == -3
     assert newton_poly(a.series).degree == t64.n - t64.b
     assert json.loads(a.to_json()) == {"n": 4, "support": [0, 1, 2], "alpha": [3, -3, 2]}
 
@@ -131,7 +132,7 @@ def test_betti_diagram_accessors(t64):
     d = betti(t64)
     assert d.twists() == (0, 1, 2)
     assert d.ranks() == (3, 12, 12)
-    assert d.twist_multiset() == ((0, 3), (1, 12), (2, 12))
+    assert d.entries == ((0, 0, 3), (1, 1, 12), (2, 2, 12))
     assert json.loads(d.to_json()) == {"twists": [0, 1, 2], "ranks": [3, 12, 12]}
     assert d.render() == "     0  1  2\n 0:  3 12 12"
 

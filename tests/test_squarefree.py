@@ -8,6 +8,7 @@ from triplets import (
     ConsistencyError,
     betti,
     enumerate_triplets,
+    reflect,
     rotated_betti_via_strands,
     solve_alpha,
     triplet_betti,
@@ -119,9 +120,10 @@ def test_triplet_betti_goldens(t64, t42):
 
 
 def test_triplet_betti_degree_sequences():
-    for t in enumerate_triplets(3):
-        diagrams = triplet_betti(t)
-        assert tuple(d.twists() for d in diagrams) == t.to_degree_triplet()
+    for n in range(1, 6):
+        for t in enumerate_triplets(n):
+            diagrams = triplet_betti(t)
+            assert tuple(d.twists() for d in diagrams) == (t.B, reflect(t.H, t.n), t.C)
 
 
 def test_homological_data_goldens(t64, t42):
@@ -172,4 +174,4 @@ def test_reversal_duality():
             d2 = betti(t.rotate().rotate())
             dr = betti(t.dual().rotate())
             reversed_multiset = tuple(sorted((n - d, r) for _, d, r in dr.entries))
-            assert d2.twist_multiset() == reversed_multiset
+            assert tuple((d, r) for _, d, r in d2.entries) == reversed_multiset

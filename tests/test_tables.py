@@ -45,7 +45,7 @@ T42_RENDER = (
 def test_full_table_matches_transcription_t64(t64, t64_table):
     tab = full_table(t64, window=(-5, 3))
     assert tab == t64_table
-    assert tab.render() == T64_RENDER
+    assert render(tab) == T64_RENDER
 
 
 def test_full_table_matches_transcription_t42(t42, ip1_table):
@@ -65,7 +65,8 @@ def test_hypertable_accessors(t64_table):
 
 
 def test_table_json_roundtrip(t64_table):
-    again = HyperTable.from_json(t64_table.to_json())
+    d = json.loads(t64_table.to_json())
+    again = HyperTable.build(d["window"], {(e["row"], e["col"]): e["dim"] for e in d["entries"]})
     assert again == t64_table
 
 
@@ -86,18 +87,8 @@ def test_table_json_matches_json_dumps(t64, t42, t64_table, ip1_table):
         assert tab.to_json() == _old_to_json(tab)
 
 
-@pytest.mark.parametrize("bad", ["true", "2.0", '"3"'])
-def test_table_from_json_rejects_non_int_dims(bad):
-    with pytest.raises(ValueError):
-        HyperTable.from_json('{"window": [-1, 1], "entries": [{"row": 0, "col": 0, "dim": %s}]}' % bad)
-    with pytest.raises(ValueError):
-        HyperTable.from_json('{"window": [-1, 1], "entries": [{"row": %s, "col": 0, "dim": 1}]}' % bad)
-    with pytest.raises(ValueError):
-        HyperTable.from_json('{"window": [-1, %s], "entries": []}' % bad)
-
-
 def test_render_empty():
-    assert HyperTable.build((0, 2), {}).render() == "-------\n0 1 2  | d\\i"
+    assert render(HyperTable.build((0, 2), {})) == "-------\n0 1 2  | d\\i"
 
 
 def test_window_validation(t64):
