@@ -14,6 +14,7 @@ import os
 import sys
 import warnings
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import factorial
 
 from . import classical
@@ -24,12 +25,14 @@ from .squarefree import triplet_betti
 from .tables import full_table, render
 
 USAGE_EXIT = 64
+OUTPUT_CACHE_SIZE = 1024  # distinct --stdin records whose output one run reuses
 
 
 class Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        print("%s: error: %s" % (self.prog, message), file=sys.stderr)
+        # An argv token may hold a newline; the error stays one line.
+        print("%s: error: %s" % (self.prog, message.replace("\n", "\\n")), file=sys.stderr)
         sys.exit(USAGE_EXIT)
 
 
@@ -65,6 +68,8 @@ def _add_triplet_args(p):
 
 def _triplets_from(args, parser):
     if args.stdin:
+        if (args.n, args.B, args.H, args.C) != (None,) * 4:
+            parser.error("--stdin cannot be combined with --n, --B, --H, --C")
         return (HomologyTriplet.from_json(line) for line in sys.stdin if line.strip())
     if args.n is None or args.B is None or args.H is None or args.C is None:
         parser.error("--n, --B, --H, --C are required (or use --stdin)")
@@ -153,6 +158,33 @@ def _emit_report(report, roots, args):
         print("cohen-macaulay:", report.is_cm)
 
 
+def _output(cmd, as_json, window, t):
+    """The text that subcommand `cmd` prints for the validated triplet t."""
+    if cmd == "validate":
+        return t.to_json()
+    if cmd == "rotate":
+        return t.rotate().to_json()
+    if cmd == "dual":
+        return t.dual().to_json()
+    if cmd == "solve":
+        alpha = solve_alpha(t)
+        if as_json:
+            return alpha.to_json()
+        return "support: %s\nalpha: %s\nP(d) = %s" % (
+            ",".join(map(str, alpha.support)), ",".join(map(str, alpha.on_support())), _power_form(alpha.series))
+    if cmd == "betti":
+        diagram = betti(t)
+        return diagram.to_json() if as_json else diagram.render()
+    if cmd == "triplet":
+        diagrams = triplet_betti(t)
+        if as_json:
+            return '{"diagrams": [%s]}' % ", ".join(d.to_json() for d in diagrams)
+        return "\n".join("%s:\n%s" % (label, d.render())
+                         for label, d in zip(("T", "rotate(T)", "rotate^2(T)"), diagrams))
+    table = full_table(t, window=window)
+    return table.to_json() if as_json else render(table)
+
+
 def _run(args, parser):
     cmd = args.command
     if cmd == "enumerate":
@@ -180,35 +212,10 @@ def _run(args, parser):
             print("roots:", ",".join(map(str, roots.roots)))
         return 0
 
+    window = getattr(args, "window", None)
+    output = lru_cache(maxsize=OUTPUT_CACHE_SIZE)(partial(_output, cmd, args.json, window))
     for t in _triplets_from(args, parser):
-        if cmd == "validate":
-            print(t.to_json())
-        elif cmd == "rotate":
-            print(t.rotate().to_json())
-        elif cmd == "dual":
-            print(t.dual().to_json())
-        elif cmd == "solve":
-            alpha = solve_alpha(t)
-            if args.json:
-                print(alpha.to_json())
-            else:
-                print("support:", ",".join(map(str, alpha.support)))
-                print("alpha:", ",".join(map(str, alpha.on_support())))
-                print("P(d) =", _power_form(alpha.series))
-        elif cmd == "betti":
-            diagram = betti(t)
-            print(diagram.to_json() if args.json else diagram.render())
-        elif cmd == "triplet":
-            diagrams = triplet_betti(t)
-            if args.json:
-                print('{"diagrams": [%s]}' % ", ".join(d.to_json() for d in diagrams))
-            else:
-                for label, d in zip(("T", "rotate(T)", "rotate^2(T)"), diagrams):
-                    print(label + ":")
-                    print(d.render())
-        elif cmd == "table":
-            table = full_table(t, window=args.window)
-            print(table.to_json() if args.json else render(table))
+        print(output(t))
     return 0
 
 

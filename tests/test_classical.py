@@ -10,6 +10,8 @@ from triplets import (
     RootSequence,
     buchsbaum_rim,
     eagon_northcott,
+    enumerate_triplets,
+    full_table,
     pure_zip,
     schur_roots,
     supernatural_table,
@@ -262,3 +264,23 @@ def test_pure_zip_matches_zip_construction():
                 ranks[-twist] = ranks.get(-twist, 0) + rank
         report = pure_zip(rs, n)
         assert sorted(ranks.items()) == list(zip(report.degrees, report.ranks))
+
+
+def test_triplet_tables_are_supernatural_iff_no_spans():
+    """A triplet's default-window table is the supernatural table of the
+    negated nondegrees of B, up to one positive factor, exactly when
+    s_H = s_C = 0; checked both ways over every triplet with n <= 6."""
+    matched = unmatched = 0
+    for n in range(1, 7):
+        for t in enumerate_triplets(n):
+            table = full_table(t)
+            roots = sorted((-d for d in range(n + 1) if d not in t.B), reverse=True)
+            sup = supernatural_table(RootSequence(roots, factorial(len(roots))), window=table.window)
+            same = table.as_dict.keys() == sup.as_dict.keys()
+            if same:
+                ratios = {Fraction(v, sup.cell(j, p)) for j, p, v in table.entries}
+                same = len(ratios) == 1 and min(ratios) > 0
+            assert same == (t.s_H == t.s_C == 0), t
+            matched += same
+            unmatched += not same
+    assert (matched, unmatched) == (246, 5353)

@@ -284,10 +284,16 @@ def test_classical_subcommands(capsys):
     assert out == "roots: -1,-3\n"
 
 
-def test_usage_errors_exit_64(capsys):
+def test_usage_errors_exit_64(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["validate", "--n", "4"])  # missing --B/--H/--C
     assert exc.value.code == 64
+    for flags in (["--n", "4"], ["--B", "0,1,2"], ["--H", "0,2,4"], ["--C", "2,3,4"], T64_ARGS):
+        monkeypatch.setattr("sys.stdin", io.StringIO(T64_LINE))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", *flags, "--stdin"])  # not silently dropped
+        assert exc.value.code == 64
+        assert "--stdin cannot be combined with --n, --B, --H, --C" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 64
@@ -358,3 +364,118 @@ def test_byte_identical_reruns(capsys):
     first = run(capsys, "enumerate", "--n", "3")
     second = run(capsys, "enumerate", "--n", "3")
     assert first == second
+
+
+def _counted_solves(monkeypatch):
+    """The triplets the CLI solves, in order, through the real solver."""
+    import triplets.cli
+
+    real, solved = triplets.cli.solve_alpha, []
+
+    def counted(t):
+        solved.append(t)
+        return real(t)
+
+    monkeypatch.setattr("triplets.cli.solve_alpha", counted)
+    return solved
+
+
+def _batch(monkeypatch, *records):
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(r + "\n" for r in records)))
+
+
+def test_stdin_repeats_print_the_same_chunk_and_solve_once(capsys, monkeypatch):
+    solved = _counted_solves(monkeypatch)
+    t, u = T64_LINE.strip(), '{"n": 3, "B": [0, 2, 3], "H": [0, 1, 2], "C": [0, 2]}'
+    _batch(monkeypatch, t, u, t, '{"n": 4, "B": [2, 0, 1], "H": [4, 2, 0], "C": [3, 2, 4]}')
+    code, out, err = run(capsys, "solve", "--stdin")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    chunks = ["\n".join(lines[i:i + 3]) for i in range(0, len(lines), 3)]
+    assert len(chunks) == 4 and chunks[0] == chunks[2] == chunks[3] != chunks[1]
+    assert solved == [validate_triplet(4, [0, 1, 2], [0, 2, 4], [2, 3, 4]),
+                      validate_triplet(3, [0, 2, 3], [0, 1, 2], [0, 2])]
+
+
+def test_stdin_reuse_ends_with_the_run(capsys, monkeypatch):
+    solved = _counted_solves(monkeypatch)
+    _batch(monkeypatch, T64_LINE.strip())
+    first = run(capsys, "solve", "--stdin", "--json")
+    _batch(monkeypatch, T64_LINE.strip())
+    assert run(capsys, "solve", "--stdin", "--json") == first
+    assert len(solved) == 2
+
+
+@pytest.mark.parametrize("distinct, resolved", [(1024, False), (1025, True)])
+def test_stdin_reuse_is_bounded(capsys, monkeypatch, distinct, resolved):
+    solved = _counted_solves(monkeypatch)
+    records = [t.to_json() for n in range(1, 7) for t in enumerate_triplets(n)][:distinct]
+    _batch(monkeypatch, *records, records[0])
+    code, out, _ = run(capsys, "solve", "--stdin", "--json")
+    assert code == 0 and len(out.splitlines()) == distinct + 1
+    # Within the bound the first record is reused; past it, it is solved again.
+    assert len(solved) == distinct + resolved
+    assert (solved[-1] == solved[0]) == resolved
+
+
+def test_stdin_bad_line_after_a_reused_record_exit_2(capsys, monkeypatch):
+    solved = _counted_solves(monkeypatch)
+    _batch(monkeypatch, T64_LINE.strip(), T64_LINE.strip(), "not json")
+    code, out, err = run(capsys, "solve", "--stdin", "--json")
+    assert code == 2
+    assert out == '{"n": 4, "support": [0, 1, 2], "alpha": [3, -3, 2]}\n' * 2
+    assert err == "invalid triplet (record: not JSON: not json)\n"
+    assert len(solved) == 1
+
+
+_SMALL_LIST = st.lists(st.integers(-12, 12), min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs)))
+_FLAG_VALUES = {
+    "--n": st.integers(-2, 5).map(str),
+    "--B": _SMALL_LIST, "--H": _SMALL_LIST, "--C": _SMALL_LIST,
+    "--window": st.tuples(st.integers(-20, 20), st.integers(-20, 20)).map("%d,%d".__mod__),
+    "--roots": _SMALL_LIST, "--lambda": _SMALL_LIST, "--dims": _SMALL_LIST, "--weights": _SMALL_LIST,
+    "--scale": st.sampled_from(["1", "2", "3/2", "1/0", "-1", "x"]),
+    "--w": st.integers(-2, 12).map(str), "--r": st.integers(-2, 12).map(str), "--m": st.integers(-2, 12).map(str),
+}
+# Short tokens with no decimal digit, so that every integer argv carries is small.
+_TOKEN = st.text(max_size=4).filter(lambda s: not any(c.isdecimal() for c in s))
+
+
+@st.composite
+def _argv(draw):
+    head = draw(st.lists(st.sampled_from([
+        "validate", "solve", "betti", "triplet", "rotate", "dual", "table", "enumerate", "zip", "classical",
+        "en", "br", "schur", "tensor"]) | _TOKEN, min_size=1, max_size=2))
+    pieces = draw(st.lists(
+        st.sampled_from(sorted(_FLAG_VALUES)).flatmap(
+            lambda f: _FLAG_VALUES[f].flatmap(lambda v: st.sampled_from([[f, v], ["%s=%s" % (f, v)]])))
+        | st.sampled_from([["--stdin"], ["--json"], ["--help"], T64_ARGS])
+        | _TOKEN.map(lambda s: [s]),
+        max_size=5))
+    return head + [token for piece in pieces for token in piece]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv(), stdin=st.sampled_from(["", T64_LINE, T64_LINE * 2, "not json\n"]))
+def test_argv_fuzz_exits_cleanly(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    assert code in (0, 2, 3, 4, 64)
+    lines = err.getvalue().split("\n")
+    assert lines.pop() == ""
+    if code == 0:
+        # At most the one documented library warning, e.g. zip with n below the root count.
+        assert lines == [] or (len(lines) == 1 and lines[0].startswith("warning: "))
+    else:
+        # One error line, after argparse's usage for a usage error.
+        assert lines and all(line.startswith(("usage: ", " ")) for line in lines[:-1])
+        assert len(lines) == 1 or (code == 64 and lines[0].startswith("usage: ") and ": error: " in lines[-1])
