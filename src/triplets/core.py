@@ -76,7 +76,7 @@ class HomologyTriplet:
     def from_json(cls, line):
         try:
             d = json.loads(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # bad JSON, a too-deep nest, an int of > 4300 digits
             raise TripletError("record", "not JSON: %s" % line.strip()) from None
         if not isinstance(d, dict) or not {"n", "B", "H", "C"} <= d.keys():
             raise TripletError("record", "expected an object with keys n, B, H, C: %s" % line.strip())

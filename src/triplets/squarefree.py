@@ -18,7 +18,8 @@ from .solver import BettiDiagram, betti, chi_family, solve_alpha
 
 def rotated_betti_via_strands(t, alpha=None, fam=None):
     """Betti diagram of the rotated triplet assembled strand by strand:
-    homology index q contributes rank h^sq_q(k) at twist n - k."""
+    homology index q contributes rank h^sq_q(k) at twist n - k.  Takes
+    `alpha = solve_alpha(t)` and `fam = chi_family(t, alpha)`, made when not given."""
     if alpha is None:
         alpha = solve_alpha(t)
     if fam is None:

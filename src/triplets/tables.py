@@ -3,7 +3,7 @@ resolutions.
 
 Convention: entry(j, p) = dim H^j(E(p - j)), so the column index p is the
 diagonal label printed under the source tables and the twist is t = p - j.
-A full table has three regions:
+A full table has three regions, on disjoint twists:
   * corner, twists -n..0:   entry(d_q - q, -q) = (-1)^q alpha_{d_q};
   * positive twists t >= 1: entry(-q, -q + t) = chi_q(t);
   * twists t <= -n-1:       entry(n+1-|B|+q, row + t) = psi_q(-n - t).
@@ -59,7 +59,8 @@ def default_window(n):
 
 
 def full_table(t, alpha=None, window=None, fam=None):
-    """Assemble the hypercohomology table of the triplet's complex."""
+    """Assemble the hypercohomology table of the triplet's complex from
+    `alpha = solve_alpha(t)` and `fam = chi_family(t, alpha)`, made when not given."""
     if alpha is None:
         alpha = solve_alpha(t)
     if window is None:
@@ -74,11 +75,7 @@ def full_table(t, alpha=None, window=None, fam=None):
     def put(j, p, v, what):
         if v < 0:
             raise ConsistencyError("negative %s entry at (%d, %d)" % (what, j, p))
-        if v:
-            key = (j, p)
-            if key in cells:
-                raise ConsistencyError("region collision at %r" % (key,))
-            cells[key] = v
+        cells[j, p] = v
 
     for q, d in enumerate(t.B):
         if lo <= -q <= hi:
@@ -96,26 +93,7 @@ def full_table(t, alpha=None, window=None, fam=None):
         for p, v in enumerate(newton_values(psi, row - t.n - last, row - t.n - lo + 1)):
             put(row, last - p, v, "dual")
 
-    table = HyperTable.build(window, cells)
-    _assert_euler(table, t, alpha)
-    return table
-
-
-def _assert_euler(table, t, alpha):
-    """sum_j (-1)^j entry(j, j + t) = P(t) on every twist whose diagonal over
-    the rows -s_H..n+1-|B|+s_C (homology, corner and dual) fits the window."""
-    lo, hi = table.window
-    row_lo, row_hi = -t.s_H, t.n + 1 - len(t.B) + t.s_C
-    first = lo - row_lo
-    sums = [0] * max(hi - row_hi + 1 - first, 0)
-    for j, p, v in table.entries:
-        k = p - j - first
-        if row_lo <= j <= row_hi and 0 <= k < len(sums):
-            sums[k] += -v if j % 2 else v
-    values = newton_values(alpha.series, first, first + len(sums))
-    for twist, (s, value) in enumerate(zip(sums, values), first):
-        if s != value:
-            raise ConsistencyError("Euler consistency fails at twist %d for %r" % (twist, t))
+    return HyperTable.build(window, cells)
 
 
 @dataclass(frozen=True)

@@ -226,6 +226,49 @@ def table_euler(table, t, rows=None):
     return sum((-1 if j % 2 else 1) * cells.get((j, j + t), 0) for j in set(rows))
 
 
+def newton_value(a, d):
+    """p(d) = sum_i a_i C(d+i-1, i) for the Newton series a of p, in int:
+    C(x, i) = x(x-1)...(x-i+1) / i!, which is exact for a negative x too."""
+    return sum(x * prod(range(d, d + i)) // factorial(i) for i, x in enumerate(a))
+
+
+def euler_failures(table, t, alpha):
+    """The twists whose diagonal over the rows -s_H..n+1-|B|+s_C (homology,
+    corner and dual) lies inside the table's window and whose signed sum
+    sum_j (-1)^j entry(j, j + twist) differs from the Hilbert polynomial."""
+    lo, hi = table.window
+    row_lo, row_hi = -t.s_H, t.n + 1 - len(t.B) + t.s_C
+    rows = range(row_lo, row_hi + 1)
+    return [twist for twist in range(lo - row_lo, hi - row_hi + 1)
+            if table_euler(table, twist, rows) != newton_value(alpha.series, twist)]
+
+
+def dual_identity_holds(t, alpha, dual):
+    """P*(d) = (-1)^(|B|-1-n) P(-n-d) for P and P* the Hilbert polynomials
+    of alpha and of its dual vector; both have degree <= n, so agreement at
+    the n+1 points d = 0..n is agreement as polynomials."""
+    sign = -1 if (len(t.B) - 1 - t.n) % 2 else 1
+    return all(newton_value(dual.series, d) == sign * newton_value(alpha.series, -t.n - d) for d in range(t.n + 1))
+
+
+def alternating_sum(family):
+    """sum_q (-1)^q chi_q as a RatPoly, for a family of Newton series."""
+    return sum((newton_poly(c) * (-1) ** q for q, c in enumerate(family)), RatPoly())
+
+
+def psi_strand_betti(t, fam):
+    """Betti entries of rotate^2(t) from the psi strands: the strand diagram
+    of the psi family (psi_q contributes C(n, k) a_k at twist n - k), its
+    twists reflected d -> n - d and its order reversed."""
+    acc = {}
+    for psi in fam.psi_series:
+        for k, r in enumerate(hsq_of_series(psi, t.n)):
+            if r:
+                acc[t.n - k] = acc.get(t.n - k, 0) + r
+    reflected = [(t.n - d, acc[d]) for d in sorted(acc)][::-1]
+    return tuple((q, d, r) for q, (d, r) in enumerate(reflected))
+
+
 def supernatural_poly(rs):
     """(scale / delta!) * prod_k (t - r_k)."""
     p = RatPoly([Fraction(rs.scale, factorial(rs.delta))])

@@ -187,6 +187,19 @@ def test_malformed_stdin_record_exit_2(capsys, monkeypatch, record):
     assert err.startswith("invalid triplet (record: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("line", [
+    "[" * 100000 + "]" * 100000,  # nested deeper than the decoder's recursion limit
+    '{"n": %s, "B": [0], "H": [0], "C": [0]}' % ("9" * 5000),  # int past the 4300-digit conversion limit
+], ids=["deep", "bigint"])
+@pytest.mark.parametrize("argv", [["validate", "--stdin", "--json"], ["solve", "--stdin"]])
+def test_undecodable_stdin_record_exit_2(capsys, monkeypatch, line, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("invalid triplet (record: ")
+
+
 def test_stdin_streams_lines_before_a_bad_one(capsys, monkeypatch):
     good = '{"n": 4, "B": [0, 1, 2], "H": [0, 2, 4], "C": [2, 3, 4]}'
     monkeypatch.setattr("sys.stdin", io.StringIO(good + "\nnot json\n"))

@@ -1,6 +1,16 @@
-from oracles import interpolated_chi_family, newton_poly, sheaf_class_decompose
+import random
 
-from triplets import chi_family, enumerate_triplets, solve_alpha, validate_triplet
+from oracles import interpolated_chi_family, newton_poly, newton_value, sheaf_class_decompose
+
+from triplets import (
+    AlphaVector,
+    ConsistencyError,
+    chi_family,
+    enumerate_triplets,
+    solve_alpha,
+    strand_starts,
+    validate_triplet,
+)
 
 
 def test_interpolation_oracle_golden():
@@ -25,3 +35,39 @@ def test_chi_family_matches_interpolation_oracle():
             assert fam.flags == flags
             for series, poly in zip(fam.chi_series + fam.psi_series, chis + psis):
                 assert series == sheaf_class_decompose(poly, poly.degree)
+
+
+def test_chi_family_of_hand_built_alphas_matches_interpolation_oracle():
+    # chi_family takes any AlphaVector, and its slices are the interpolation
+    # for every alpha.  Each support value +-1 over n <= 4: a solved alpha
+    # has A_u = 0 at every strand boundary u, many of these do not.
+    accepted = at_boundary = 0
+    for n in range(1, 5):
+        for t in enumerate_triplets(n):
+            a = solve_alpha(t)
+            for i in t.B:
+                for step in (1, -1):
+                    values = list(a.values)
+                    values[i] += step
+                    alpha = AlphaVector(n, t.B, tuple(values))
+                    try:
+                        fam = chi_family(t, alpha)
+                    except ConsistencyError:
+                        continue
+                    chis, psis, flags = interpolated_chi_family(t, alpha)
+                    assert tuple(map(newton_poly, fam.chi_series)) == chis
+                    assert tuple(map(newton_poly, fam.psi_series)) == psis
+                    assert fam.flags == flags
+                    accepted += 1
+                    at_boundary += any(alpha.series[x - 1] for x in strand_starts(t.h, n - t.b, t.H)[1:-1])
+    assert (accepted, at_boundary) == (421, 269)
+
+
+def test_newton_value_matches_ratpoly():
+    # The int evaluation the Euler and dual-identity oracles use, against
+    # the RatPoly layer, at negative and positive points.
+    rng = random.Random(3)
+    for _ in range(300):
+        a = [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 8))]
+        p = newton_poly(a)
+        assert [newton_value(a, d) for d in range(-15, 15)] == [p(d) for d in range(-15, 15)]

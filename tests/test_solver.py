@@ -14,7 +14,7 @@ from triplets import (
     validate_triplet,
 )
 
-from oracles import RatPoly, binom_poly, newton_poly
+from oracles import RatPoly, alternating_sum, binom_poly, dual_identity_holds, newton_poly
 
 
 def test_build_equations_goldens(t64, t42):
@@ -109,12 +109,16 @@ def test_chi_single_strand():
 
 
 def test_chi_euler_sums():
-    for n in range(1, 5):
+    # The family and dual identities, which chi_family does not check at run
+    # time: each family sums to its Hilbert polynomial, and P*(d) = +-P(-n-d).
+    for n in range(1, 7):
         for t in enumerate_triplets(n):
             a = solve_alpha(t)
-            fam = chi_family(t, a)  # internal asserts cover the identities
-            p = newton_poly(a.series)
-            assert sum((newton_poly(c) * ((-1) ** q) for q, c in enumerate(fam.chi_series)), RatPoly()) == p
+            ad = dual_alpha(a)
+            fam = chi_family(t, a)
+            assert alternating_sum(fam.chi_series) == newton_poly(a.series)
+            assert alternating_sum(fam.psi_series) == newton_poly(ad.series)
+            assert dual_identity_holds(t, a, ad)
             assert len(fam.chi_series) == t.s_H + 1
             assert len(fam.psi_series) == t.s_C + 1
 
@@ -149,17 +153,22 @@ def test_bad_alpha_rejected(t64):
         betti(t64, bad)
 
 
-def test_dual_identity_catches_a_perturbed_dual(t64, monkeypatch):
-    import triplets.solver
-
+def test_dual_identity_catches_a_perturbed_dual(t64):
     a = solve_alpha(t64)
-
-    def perturbed(alpha):
-        ad = dual_alpha(alpha)
+    ad = dual_alpha(a)
+    assert dual_identity_holds(t64, a, ad)
+    for k in ad.support[1:]:  # leave the leading value and its sign check alone
         values = list(ad.values)
-        values[ad.support[1]] += 1  # leave the leading value and its sign check alone
-        return AlphaVector(ad.n, ad.support, tuple(values))
+        values[k] += 1
+        assert not dual_identity_holds(t64, a, AlphaVector(ad.n, ad.support, tuple(values)))
+    shifted = AlphaVector(ad.n, tuple(i - 1 for i in ad.support), ad.values[1:] + (0,))
+    assert not dual_identity_holds(t64, a, shifted)
 
-    monkeypatch.setattr(triplets.solver, "dual_alpha", perturbed)
-    with pytest.raises(ConsistencyError, match="dual Hilbert polynomial identity failed"):
-        chi_family(t64, a)
+
+def test_family_tail_is_checked():
+    # A hand-built alpha whose series does not vanish above n - b (here
+    # A_3 = -5 with b = 1): its family cannot sum to its Hilbert polynomial.
+    t = validate_triplet(3, [0, 1], [0, 1, 2], [2])
+    assert solve_alpha(t).values == (3, -1, 0, 0)
+    with pytest.raises(ConsistencyError, match="chi family does not sum to its Hilbert polynomial"):
+        chi_family(t, AlphaVector(3, (0, 1), (1, -2, 0, 0)))

@@ -7,6 +7,7 @@ import pytest
 from triplets import (
     ConsistencyError,
     betti,
+    chi_family,
     enumerate_triplets,
     reflect,
     rotated_betti_via_strands,
@@ -24,6 +25,7 @@ from oracles import (
     hsq_kpolynomial,
     hsq_of_reduction,
     hsq_series,
+    psi_strand_betti,
     reduction_kpoly,
     sheaf_class_decompose,
 )
@@ -108,6 +110,19 @@ def test_strands_cross_check_sweep():
             via_strands = rotated_betti_via_strands(t)
             r = t.rotate()
             assert via_strands.entries == betti(r, solve_alpha(r)).entries
+
+
+def test_psi_strands_give_rotate2_betti(t64):
+    # The psi strands of T, twists reflected d -> n - d and order reversed,
+    # are the Betti diagram of rotate^2(T): every triplet with n <= 6.
+    assert psi_strand_betti(t64, chi_family(t64, solve_alpha(t64))) == ((0, 2, 12), (1, 3, 12), (2, 4, 3))
+    count = 0
+    for n in range(1, 7):
+        for t in enumerate_triplets(n):
+            rr = t.rotate().rotate()
+            assert psi_strand_betti(t, chi_family(t, solve_alpha(t))) == betti(rr, solve_alpha(rr)).entries
+            count += 1
+    assert count == 5599
 
 
 def test_triplet_betti_goldens(t64, t42):

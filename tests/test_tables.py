@@ -3,7 +3,6 @@ import json
 import pytest
 
 from triplets import (
-    ConsistencyError,
     HyperTable,
     RootSequence,
     betti,
@@ -19,9 +18,9 @@ from triplets import (
     validate_triplet,
     zip_terms,
 )
-from triplets.tables import _assert_euler, default_window
+from triplets.tables import default_window
 
-from oracles import corner_table, newton_poly, table_euler
+from oracles import corner_table, euler_failures, newton_poly, table_euler
 
 T64_RENDER = (
     "87 33  8  .  .  .  .   .   .  | 2\n"
@@ -112,20 +111,18 @@ def _bump(table, j, p):
 
 
 def test_euler_check_names_the_tampered_twist():
-    # +1 on any cell raises iff its diagonal is checked: the twists whose
-    # diagonal over rows -s_H..n+1-|B|+s_C lies inside the window.
+    # +1 on any cell fails the Euler oracle iff its diagonal is checked: the
+    # twists whose diagonal over rows -s_H..n+1-|B|+s_C lies inside the window.
     for n in range(1, 4):
         for t in enumerate_triplets(n):
             a = solve_alpha(t)
             tab = full_table(t, a)
+            assert euler_failures(tab, t, a) == []
             (lo, hi), row_lo, row_hi = tab.window, -t.s_H, n + 1 - len(t.B) + t.s_C
             for j, p, _ in tab.entries:
                 twist = p - j
-                if lo - row_lo <= twist <= hi - row_hi:
-                    with pytest.raises(ConsistencyError, match="at twist %d for" % twist):
-                        _assert_euler(_bump(tab, j, p), t, a)
-                else:
-                    _assert_euler(_bump(tab, j, p), t, a)
+                checked = lo - row_lo <= twist <= hi - row_hi
+                assert euler_failures(_bump(tab, j, p), t, a) == ([twist] if checked else [])
 
 
 def test_euler_check_reaches_twist_n_in_sweep_window(t64, t42):
@@ -138,11 +135,9 @@ def test_euler_check_reaches_twist_n_in_sweep_window(t64, t42):
         row_lo = -t.s_H
         row_hi = max([t.n + 1 - len(t.B) + t.s_C] + [d - q for q, d in enumerate(t.B)])
         tab = full_table(t, a, window=(-2 * t.n + row_lo, t.n + row_hi))
-        with pytest.raises(ConsistencyError, match="at twist %d for" % t.n):
-            _assert_euler(_bump(tab, 0, t.n), t, a)
-        with pytest.raises(ConsistencyError, match="at twist %d for" % (-2 * t.n)):
-            _assert_euler(_bump(tab, row_lo, row_lo - 2 * t.n), t, a)
-        _assert_euler(_bump(tab, row_lo, row_lo + t.n + 1), t, a)
+        assert euler_failures(_bump(tab, 0, t.n), t, a) == [t.n]
+        assert euler_failures(_bump(tab, row_lo, row_lo - 2 * t.n), t, a) == [-2 * t.n]
+        assert euler_failures(_bump(tab, row_lo, row_lo + t.n + 1), t, a) == []
 
 
 def test_corner_goldens(t64, t42):
@@ -214,11 +209,20 @@ def test_dual_table_role_exchange(t64):
     assert tuple(map(newton_poly, fam_d.psi_series)) == tuple(map(newton_poly, fam.chi_series))
 
 
-def test_full_table_region_separation(t64):
-    # Every entry lands in exactly one region: corner (twists in [-n, 0]),
-    # homology rows (j <= 0, positive twists), dual rows (twists <= -n-1).
-    tab = full_table(t64)
-    for j, p, v in tab.entries:
-        twist = p - j
-        assert v > 0
-        assert (-t64.n <= twist <= 0) or (j <= 0 and twist >= 1) or (twist <= -t64.n - 1)
+def test_full_table_region_separation():
+    # Every entry lands in exactly one region: corner (twists in [-n, 0],
+    # exactly the pure corner), homology rows (j <= 0, positive twists), dual
+    # rows (twists <= -n-1).
+    for n in range(1, 7):
+        for t in enumerate_triplets(n):
+            a = solve_alpha(t)
+            tab = full_table(t, a)
+            corner = {}
+            for j, p, v in tab.entries:
+                twist = p - j
+                assert v > 0
+                if -n <= twist <= 0:
+                    corner[j, p] = v
+                else:
+                    assert (j <= 0 and twist >= 1) or twist <= -n - 1
+            assert corner == corner_table(t, a).as_dict
