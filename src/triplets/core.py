@@ -23,6 +23,7 @@ from .errors import TripletError
 
 MAX_N_ENV = "TRIPLETS_MAX_N"
 DEFAULT_MAX_N = 9
+EXCERPT = 100  # at most this many characters of an input are echoed in an error message
 
 
 @dataclass(frozen=True)
@@ -76,15 +77,17 @@ class HomologyTriplet:
     def from_json(cls, line):
         try:
             d = json.loads(line)
-        except (ValueError, RecursionError):  # bad JSON, a too-deep nest, an int of > 4300 digits
-            raise TripletError("record", "not JSON: %s" % line.strip()) from None
+        except (ValueError, RecursionError) as exc:  # the one other ValueError: an int past the digit limit
+            cause = ("not JSON" if isinstance(exc, json.JSONDecodeError)
+                     else "nested too deeply" if isinstance(exc, RecursionError) else "integer too long")
+            raise TripletError("record", "%s: %.*s" % (cause, EXCERPT, line.strip())) from None
         if not isinstance(d, dict) or not {"n", "B", "H", "C"} <= d.keys():
-            raise TripletError("record", "expected an object with keys n, B, H, C: %s" % line.strip())
+            raise TripletError("record", "expected an object with keys n, B, H, C: %.*s" % (EXCERPT, line.strip()))
         if type(d["n"]) is not int:
-            raise TripletError("record", "n must be an integer, got %r" % (d["n"],))
+            raise TripletError("record", "n must be an integer, got %.*r" % (EXCERPT, d["n"]))
         for name in "BHC":
             if type(d[name]) is not list or any(type(x) is not int for x in d[name]):
-                raise TripletError("record", "%s must be a list of integers, got %r" % (name, d[name]))
+                raise TripletError("record", "%s must be a list of integers, got %.*r" % (name, EXCERPT, d[name]))
         return validate_triplet(d["n"], d["B"], d["H"], d["C"])
 
 
@@ -94,9 +97,9 @@ def _check(t):
         if not ms:
             raise TripletError("interval", "%s is empty" % name)
         if ms != tuple(sorted(set(ms))):
-            raise TripletError("interval", "%s not strictly increasing: %r" % (name, ms))
+            raise TripletError("interval", "%s not strictly increasing: %.*r" % (name, EXCERPT, ms))
         if ms[0] < 0 or ms[-1] > n:
-            raise TripletError("interval", "%s = %r not within [0, %d]" % (name, ms, n))
+            raise TripletError("interval", "%s = %.*r not within [0, %d]" % (name, EXCERPT, ms, n))
 
     h, c, b = t.h, t.c, t.b
     if t.B[0] != h:
@@ -129,7 +132,7 @@ def validate_triplet(n, B, H, C):
     is not an integer here, although Python makes it one."""
     sets = tuple(B), tuple(H), tuple(C)
     if type(n) is not int or any(type(x) is not int for ms in sets for x in ms):
-        raise TripletError("interval", "n, B, H, C must be integers: %r" % ((n, *sets),))
+        raise TripletError("interval", "n, B, H, C must be integers: %.*r" % (EXCERPT, (n, *sets)))
     return HomologyTriplet(n, *(tuple(sorted(ms)) for ms in sets))
 
 

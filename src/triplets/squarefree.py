@@ -1,50 +1,46 @@
-"""Squarefree-module numerics: the triplet of Betti diagrams and its
-strand-assembly cross-check.
+"""Squarefree-module numerics: the three Betti diagrams of a triplet, read
+off its one solve.  A triplet is one pure free squarefree complex, and its
+homology strands give the other two diagrams: Betti(rotate T) is the strand
+sum of the chi family of T, and Betti(rotate^2 T) that of its psi family
+with twists reflected d -> n - d.
 
-A squarefree module with vector h = (h(0), ..., h(n)) has Hilbert series
-sum_k h(k) t^k / (1-t)^k.  A sheaf class is held as the integer Newton
-series of its Hilbert polynomial (see linalg), which is exactly its
-decomposition in the twisted-structure-sheaf basis.  The reduction of
-O_{P^i} has K-polynomial C(n, i) t^i (1-t)^(n-i), so its h^sq vector is
-C(n, i) e_i and strand assembly is a_i C(n, i) in place, with no polynomial
-built.
+A sheaf class is the integer Newton series a of its Hilbert polynomial (see
+linalg).  The squarefree reduction of O_{P^i} has h^sq vector C(n, i) e_i,
+so a strand adds a_k C(n, k) at one twist, with no polynomial built.
 """
 
 from math import comb
 
-from .errors import ConsistencyError, DegenerateSystem
+from .errors import ConsistencyError
 from .solver import BettiDiagram, betti, chi_family, solve_alpha
 
 
+def _strand_sum(family, n, twist):
+    """Betti diagram of the strands of a chi or psi family: a class with
+    Newton series a adds a_k C(n, k) at twist(k); entries by ascending twist."""
+    acc = {}
+    for a in family:
+        if any(x < 0 for x in a):
+            raise ConsistencyError("negative class coefficients %r" % (a,))
+        for k, x in enumerate(a):
+            if x:
+                acc[twist(k)] = acc.get(twist(k), 0) + x * comb(n, k)
+    return BettiDiagram(tuple((q, d, acc[d]) for q, d in enumerate(sorted(acc))))
+
+
 def rotated_betti_via_strands(t, alpha=None, fam=None):
-    """Betti diagram of the rotated triplet assembled strand by strand:
-    homology index q contributes rank h^sq_q(k) at twist n - k.  Takes
-    `alpha = solve_alpha(t)` and `fam = chi_family(t, alpha)`, made when not given."""
+    """Betti diagram of rotate(t): the strands of the chi family at twist n - k.
+    Takes `alpha = solve_alpha(t)` and `fam = chi_family(t, alpha)`, made when not given."""
     if alpha is None:
         alpha = solve_alpha(t)
     if fam is None:
         fam = chi_family(t, alpha)
-    acc = {}
-    for chi in fam.chi_series:
-        if any(a < 0 for a in chi):
-            raise ConsistencyError("negative class coefficients %r" % (chi,))
-        for k, a in enumerate(chi):
-            if a:
-                acc[t.n - k] = acc.get(t.n - k, 0) + a * comb(t.n, k)
-    entries = tuple((q, d, acc[d]) for q, d in enumerate(sorted(acc)))
-    return BettiDiagram(entries)
+    return _strand_sum(fam.chi_series, t.n, lambda k: t.n - k)
 
 
 def triplet_betti(t):
-    """Betti diagrams of t, rotate(t), rotate^2(t) (independently solved);
-    their twists are B, reflect(H) and C, the B of each rotation."""
-    diagrams = []
-    cur = t
-    for k in range(3):
-        try:
-            diagrams.append(betti(cur, solve_alpha(cur)))
-        except DegenerateSystem as exc:
-            exc.rotation = k
-            raise
-        cur = cur.rotate()
-    return tuple(diagrams)
+    """Betti diagrams of t, rotate(t), rotate^2(t) from one solve: betti(t), the chi
+    strands, and the psi strands at twist k.  Their twists are B, reflect(H) and C."""
+    alpha = solve_alpha(t)
+    fam = chi_family(t, alpha)
+    return betti(t, alpha), rotated_betti_via_strands(t, alpha, fam), _strand_sum(fam.psi_series, t.n, lambda k: k)

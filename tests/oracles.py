@@ -269,6 +269,18 @@ def psi_strand_betti(t, fam):
     return tuple((q, d, r) for q, (d, r) in enumerate(reflected))
 
 
+def rotation_solved_betti(t):
+    """Betti diagrams of t, rotate(t) and rotate^2(t), each from its own
+    solve: three independent nullspace problems, the reference that the
+    one-solve `triplet_betti` is compared against."""
+    diagrams = []
+    cur = t
+    for _ in range(3):
+        diagrams.append(betti(cur, solve_alpha(cur)))
+        cur = cur.rotate()
+    return tuple(diagrams)
+
+
 def supernatural_poly(rs):
     """(scale / delta!) * prod_k (t - r_k)."""
     p = RatPoly([Fraction(rs.scale, factorial(rs.delta))])

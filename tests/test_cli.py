@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from triplets import ConsistencyError, Overdetermined, enumerate_triplets, triplet_betti, validate_triplet
 from triplets.cli import main
+from triplets.core import EXCERPT
 
 T64_ARGS = ["--n", "4", "--B", "0,1,2", "--H", "0,2,4", "--C", "2,3,4"]
 T64_LINE = '{"n": 4, "B": [0, 1, 2], "H": [0, 2, 4], "C": [2, 3, 4]}\n'
@@ -187,17 +188,23 @@ def test_malformed_stdin_record_exit_2(capsys, monkeypatch, record):
     assert err.startswith("invalid triplet (record: ") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("line", [
-    "[" * 100000 + "]" * 100000,  # nested deeper than the decoder's recursion limit
-    '{"n": %s, "B": [0], "H": [0], "C": [0]}' % ("9" * 5000),  # int past the 4300-digit conversion limit
-], ids=["deep", "bigint"])
+@pytest.mark.parametrize("line, message", [
+    ("[" * 100000 + "]" * 100000, "record: nested too deeply: [[["),  # past the decoder's recursion limit
+    ('{"n": %s, "B": [0], "H": [0], "C": [0]}' % ("9" * 5000),  # int past the 4300-digit conversion limit
+     'record: integer too long: {"n": 999'),
+    # Valid JSON, but the list echoed in the error is 150000 characters long.
+    ('{"n": 4, "B": [%s], "H": [0], "C": [0]}' % ", ".join(["0"] * 50000), "interval: B not strictly increasing: (0, 0"),
+], ids=["deep", "bigint", "longlist"])
 @pytest.mark.parametrize("argv", [["validate", "--stdin", "--json"], ["solve", "--stdin"]])
-def test_undecodable_stdin_record_exit_2(capsys, monkeypatch, line, argv):
+def test_undecodable_stdin_record_exit_2(capsys, monkeypatch, line, message, argv):
     monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("invalid triplet (record: ")
+    assert len(err.splitlines()) == 1 and err.startswith("invalid triplet (" + message)
+    assert "not JSON" not in err
+    # The echoed input is cut to an excerpt.
+    assert len(err) <= EXCERPT + 100
 
 
 def test_stdin_streams_lines_before_a_bad_one(capsys, monkeypatch):
@@ -380,16 +387,18 @@ def test_byte_identical_reruns(capsys):
 
 
 def _counted_solves(monkeypatch):
-    """The triplets the CLI solves, in order, through the real solver."""
-    import triplets.cli
+    """The triplets the CLI solves, in order, through the real solver, in
+    every module that calls it."""
+    import triplets.solver
 
-    real, solved = triplets.cli.solve_alpha, []
+    real, solved = triplets.solver.solve_alpha, []
 
     def counted(t):
         solved.append(t)
         return real(t)
 
-    monkeypatch.setattr("triplets.cli.solve_alpha", counted)
+    for module in ("cli", "solver", "squarefree", "tables"):
+        monkeypatch.setattr("triplets.%s.solve_alpha" % module, counted)
     return solved
 
 
@@ -408,6 +417,29 @@ def test_stdin_repeats_print_the_same_chunk_and_solve_once(capsys, monkeypatch):
     assert len(chunks) == 4 and chunks[0] == chunks[2] == chunks[3] != chunks[1]
     assert solved == [validate_triplet(4, [0, 1, 2], [0, 2, 4], [2, 3, 4]),
                       validate_triplet(3, [0, 2, 3], [0, 1, 2], [0, 2])]
+
+
+def test_triplet_solves_each_record_once(capsys, monkeypatch):
+    # The three diagrams are read off the one solve of T: rotate(T) and
+    # rotate^2(T) are never solved.
+    solved = _counted_solves(monkeypatch)
+    ts = [t for n in range(1, 5) for t in enumerate_triplets(n)]
+    _batch(monkeypatch, *(t.to_json() for t in ts))
+    code, out, err = run(capsys, "triplet", "--stdin", "--json")
+    assert code == 0 and err == "" and len(out.splitlines()) == len(ts) == 195
+    assert solved == ts
+
+
+def test_triplet_degenerate_solve_exit_3(capsys, monkeypatch):
+    t = validate_triplet(4, [0, 1, 2], [0, 2, 4], [2, 3, 4])
+
+    def boom(_):
+        raise Overdetermined(t)
+
+    monkeypatch.setattr("triplets.squarefree.solve_alpha", boom)
+    code, out, err = run(capsys, "triplet", *T64_ARGS)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("solver degeneracy: ")
 
 
 def test_stdin_reuse_ends_with_the_run(capsys, monkeypatch):

@@ -27,6 +27,7 @@ from oracles import (
     hsq_series,
     psi_strand_betti,
     reduction_kpoly,
+    rotation_solved_betti,
     sheaf_class_decompose,
 )
 
@@ -103,26 +104,30 @@ def test_rotated_betti_single_homology():
 
 
 def test_strands_cross_check_sweep():
-    # The strongest internal oracle: strand assembly vs rotation solve,
-    # two fully independent computation paths.
-    for n in range(1, 5):
+    # The strongest internal oracle, over every triplet with n <= 6: the
+    # one-solve triplet_betti (chi and psi strands of T) against three
+    # independent rotation solves, entry for entry; the chi strands through
+    # rotated_betti_via_strands, and the RatPoly-built psi strands (twists
+    # reflected d -> n - d, order reversed) against Betti(rotate^2 T).
+    count = 0
+    for n in range(1, 7):
         for t in enumerate_triplets(n):
-            via_strands = rotated_betti_via_strands(t)
-            r = t.rotate()
-            assert via_strands.entries == betti(r, solve_alpha(r)).entries
+            reference = rotation_solved_betti(t)
+            diagrams = triplet_betti(t)
+            assert tuple(d.entries for d in diagrams) == tuple(d.entries for d in reference)
+            assert tuple(d.twists() for d in diagrams) == (t.B, reflect(t.H, t.n), t.C)
+            alpha = solve_alpha(t)
+            fam = chi_family(t, alpha)
+            assert rotated_betti_via_strands(t, alpha, fam).entries == reference[1].entries
+            assert psi_strand_betti(t, fam) == reference[2].entries
+            count += 1
+    assert count == 5599
 
 
 def test_psi_strands_give_rotate2_betti(t64):
     # The psi strands of T, twists reflected d -> n - d and order reversed,
-    # are the Betti diagram of rotate^2(T): every triplet with n <= 6.
+    # are the Betti diagram of rotate^2(T); the sweep above checks every n <= 6.
     assert psi_strand_betti(t64, chi_family(t64, solve_alpha(t64))) == ((0, 2, 12), (1, 3, 12), (2, 4, 3))
-    count = 0
-    for n in range(1, 7):
-        for t in enumerate_triplets(n):
-            rr = t.rotate().rotate()
-            assert psi_strand_betti(t, chi_family(t, solve_alpha(t))) == betti(rr, solve_alpha(rr)).entries
-            count += 1
-    assert count == 5599
 
 
 def test_triplet_betti_goldens(t64, t42):
