@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
 
-from .errors import ConsistencyError
+from .errors import EXCERPT, ConsistencyError
 from .tables import HyperTable, default_window
 
 
@@ -29,9 +29,9 @@ class RootSequence:
         object.__setattr__(self, "roots", tuple(self.roots))
         object.__setattr__(self, "scale", Fraction(self.scale))
         if not all(type(r) is int for r in self.roots):  # a bool is refused too
-            raise ValueError("roots must be integers: %r" % (self.roots,))
+            raise ValueError("roots must be integers: %.*r" % (EXCERPT, self.roots))
         if any(b >= a for a, b in zip(self.roots, self.roots[1:])):
-            raise ValueError("roots must be strictly decreasing: %r" % (self.roots,))
+            raise ValueError("roots must be strictly decreasing: %.*r" % (EXCERPT, self.roots))
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
@@ -96,7 +96,7 @@ def pure_zip(rs, n):
     additionally -n <= r_delta.
     """
     if n < 0:
-        raise ValueError("need n >= 0, got %d" % n)
+        raise ValueError("need n >= 0, got %.*s" % (EXCERPT, n))
     if n < rs.delta:
         warnings.warn("n = %d is smaller than the root count %d" % (n, rs.delta))
     negated = {-r for r in rs.roots}
@@ -129,7 +129,7 @@ def schur_roots(lam):
     if m == 0:
         raise ValueError("lambda must be nonempty")
     if any(a < b for a, b in zip(lam, lam[1:])):
-        raise ValueError("lambda must be weakly decreasing: %r" % (lam,))
+        raise ValueError("lambda must be weakly decreasing: %.*r" % (EXCERPT, lam))
     if lam[-1] < -1:
         raise ValueError("need lambda_m >= -1")
     vals = [-lam[i] - m + i for i in range(m)]  # i is 0-based
@@ -150,7 +150,7 @@ def tensor_roots(dims, weights):
         raise ValueError("dims must be >= 1")
     for (u, w), u_next in zip(zip(weights, dims), weights[1:]):
         if u + w - 1 > u_next:
-            raise ValueError("pinching condition violated: %d + %d - 1 > %d" % (u, w, u_next))
+            raise ValueError("pinching condition violated: %.*s" % (EXCERPT, "%d + %d - 1 > %d" % (u, w, u_next)))
     roots = []
     for u, w in zip(weights, dims):
         roots.extend(range(-u - w + 1, -u))  # w - 1 consecutive roots

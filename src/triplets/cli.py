@@ -19,7 +19,7 @@ from math import factorial
 
 from . import classical
 from .core import HomologyTriplet, enumerate_triplets, validate_triplet
-from .errors import ConsistencyError, DegenerateSystem, TripletError
+from .errors import EXCERPT, ConsistencyError, DegenerateSystem, TripletError
 from .solver import betti, solve_alpha
 from .squarefree import triplet_betti
 from .tables import full_table, render
@@ -36,18 +36,19 @@ class Parser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
-def _int_list(text):
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected a comma-separated integer list, got %r" % text)
+def _typed(convert, message):
+    """An argparse type whose error echoes at most EXCERPT characters of the token."""
+    def parse(text):
+        try:
+            return convert(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(message % (EXCERPT, text))
+    return parse
 
 
-def _scale(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("expected a rational number like 3/2, got %r" % text)
+_int = _typed(int, "invalid int value: %.*r")  # argparse's own wording for type=int
+_int_list = _typed(lambda text: tuple(map(int, text.split(","))), "expected a comma-separated integer list, got %.*r")
+_scale = _typed(Fraction, "expected a rational number like 3/2, got %.*r")
 
 
 def _window(text):
@@ -58,7 +59,7 @@ def _window(text):
 
 
 def _add_triplet_args(p):
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_int)
     p.add_argument("--B", type=_int_list)
     p.add_argument("--H", type=_int_list)
     p.add_argument("--C", type=_int_list)
@@ -87,29 +88,29 @@ def build_parser():
     p.add_argument("--window", type=_window)
 
     p = sub.add_parser("enumerate")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("zip")
     p.add_argument("--roots", type=_int_list, required=True)
     p.add_argument("--scale", type=_scale, default=Fraction(1))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("classical")
     csub = p.add_subparsers(dest="family", required=True, parser_class=Parser)
     q = csub.add_parser("en")
-    q.add_argument("--w", type=int, required=True)
+    q.add_argument("--w", type=_int, required=True)
     q = csub.add_parser("br")
-    q.add_argument("--r", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
+    q.add_argument("--r", type=_int, required=True)
+    q.add_argument("--m", type=_int, required=True)
     q = csub.add_parser("schur")
     q.add_argument("--lambda", dest="lam", type=_int_list, required=True)
     q = csub.add_parser("tensor")
     q.add_argument("--dims", type=_int_list, required=True)
     q.add_argument("--weights", type=_int_list, required=True)
     for q in csub.choices.values():
-        q.add_argument("--n", type=int)
+        q.add_argument("--n", type=_int)
         q.add_argument("--json", action="store_true")
     return parser
 

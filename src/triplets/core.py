@@ -9,9 +9,13 @@ that, with h = min H, c = min C, b = n - max H:
   * (B, H) is balanced over [h, n], (refl B, C) over [c, n], and
     (refl H, refl C) over [b, n].
 
+A triplet is checked once, where it enters: by `validate_triplet`, where
+`HomologyTriplet.from_json` ends too.  The constructor checks nothing.
+`enumerate_triplets`, `rotate()` and `dual()` build triplets valid by
+construction or by theorem; the tests check them against `validate_triplet`.
+
 `enumerate_triplets` is a lazy iterator in lexicographic (B, H, C) order:
-it walks the candidate subsets in that order and builds each triplet it
-yields through the full validation, holding nothing but the candidates.
+it walks the candidate subsets in that order and holds nothing but them.
 """
 
 import json
@@ -19,11 +23,10 @@ import os
 from dataclasses import dataclass
 
 from .degsets import balanced, reflect
-from .errors import TripletError
+from .errors import EXCERPT, TripletError
 
 MAX_N_ENV = "TRIPLETS_MAX_N"
 DEFAULT_MAX_N = 9
-EXCERPT = 100  # at most this many characters of an input are echoed in an error message
 
 
 @dataclass(frozen=True)
@@ -32,12 +35,6 @@ class HomologyTriplet:
     B: tuple
     H: tuple
     C: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "B", tuple(self.B))
-        object.__setattr__(self, "H", tuple(self.H))
-        object.__setattr__(self, "C", tuple(self.C))
-        _check(self)
 
     # -- derived invariants ------------------------------------------------
     @property
@@ -91,41 +88,6 @@ class HomologyTriplet:
         return validate_triplet(d["n"], d["B"], d["H"], d["C"])
 
 
-def _check(t):
-    n = t.n
-    for name, ms in (("B", t.B), ("H", t.H), ("C", t.C)):
-        if not ms:
-            raise TripletError("interval", "%s is empty" % name)
-        if ms != tuple(sorted(set(ms))):
-            raise TripletError("interval", "%s not strictly increasing: %.*r" % (name, EXCERPT, ms))
-        if ms[0] < 0 or ms[-1] > n:
-            raise TripletError("interval", "%s = %.*r not within [0, %d]" % (name, EXCERPT, ms, n))
-
-    h, c, b = t.h, t.c, t.b
-    if t.B[0] != h:
-        raise TripletError("endpoints", "min B = %d but min H = %d" % (t.B[0], h))
-    if t.B[-1] != n - c:
-        raise TripletError("endpoints", "max B = %d but n - min C = %d" % (t.B[-1], n - c))
-    if t.C[-1] != n - b:
-        raise TripletError("endpoints", "max C = %d but max H = %d" % (t.C[-1], t.H[-1]))
-    # With the endpoints fixed, containment of H and C in their intervals
-    # reduces to c <= n - b which max C already guarantees.
-
-    i_b, s_h, s_c = t.i_B, t.s_H, t.s_C
-    if n != b + h + c + i_b + s_h + s_c:
-        raise TripletError(
-            "count",
-            "n = %d but b+h+c+i_B+s_H+s_C = %d+%d+%d+%d+%d+%d" % (n, b, h, c, i_b, s_h, s_c),
-        )
-
-    if not balanced(h, n, t.B, t.H):
-        raise TripletError("balanced_BH", "(B, H) not balanced over [%d, %d]" % (h, n))
-    if not balanced(c, n, reflect(t.B, n), t.C):
-        raise TripletError("balanced_BC", "(refl B, C) not balanced over [%d, %d]" % (c, n))
-    if not balanced(b, n, reflect(t.H, n), reflect(t.C, n)):
-        raise TripletError("balanced_HC", "(refl H, refl C) not balanced over [%d, %d]" % (b, n))
-
-
 def validate_triplet(n, B, H, C):
     """Validate (n, B, H, C), each set in any order; returns the triplet or
     raises TripletError.  `HomologyTriplet.from_json` ends here too.  A bool
@@ -133,7 +95,37 @@ def validate_triplet(n, B, H, C):
     sets = tuple(B), tuple(H), tuple(C)
     if type(n) is not int or any(type(x) is not int for ms in sets for x in ms):
         raise TripletError("interval", "n, B, H, C must be integers: %.*r" % (EXCERPT, (n, *sets)))
-    return HomologyTriplet(n, *(tuple(sorted(ms)) for ms in sets))
+    t = HomologyTriplet(n, *(tuple(sorted(ms)) for ms in sets))
+    for name, ms in zip("BHC", (t.B, t.H, t.C)):
+        if not ms:
+            raise TripletError("interval", "%s is empty" % name)
+        if len(set(ms)) != len(ms):  # ms is sorted, so only a repeat can break it
+            raise TripletError("interval", "%s not strictly increasing: %.*r" % (name, EXCERPT, ms))
+        if ms[0] < 0 or ms[-1] > n:
+            raise TripletError("interval", "%s = %.*r not within [0, %.*s]" % (name, EXCERPT, ms, EXCERPT, n))
+
+    h, c, b = t.h, t.c, t.b
+    if t.B[0] != h:
+        raise TripletError("endpoints", "min B = %.*s but min H = %.*s" % (EXCERPT, t.B[0], EXCERPT, h))
+    if t.B[-1] != n - c:
+        raise TripletError("endpoints", "max B = %.*s but n - min C = %.*s" % (EXCERPT, t.B[-1], EXCERPT, n - c))
+    if t.C[-1] != n - b:
+        raise TripletError("endpoints", "max C = %.*s but max H = %.*s" % (EXCERPT, t.C[-1], EXCERPT, t.H[-1]))
+    # With the endpoints fixed, containment of H and C in their intervals
+    # reduces to c <= n - b which max C already guarantees.
+
+    i_b, s_h, s_c = t.i_B, t.s_H, t.s_C
+    if n != b + h + c + i_b + s_h + s_c:
+        terms = "+".join(map(str, (b, h, c, i_b, s_h, s_c)))
+        raise TripletError("count", "n = %.*s but b+h+c+i_B+s_H+s_C = %.*s" % (EXCERPT, n, EXCERPT, terms))
+
+    if not balanced(h, n, t.B, t.H):
+        raise TripletError("balanced_BH", "(B, H) not balanced over [%.*s, %.*s]" % (EXCERPT, h, EXCERPT, n))
+    if not balanced(c, n, reflect(t.B, n), t.C):
+        raise TripletError("balanced_BC", "(refl B, C) not balanced over [%.*s, %.*s]" % (EXCERPT, c, EXCERPT, n))
+    if not balanced(b, n, reflect(t.H, n), reflect(t.C, n)):
+        raise TripletError("balanced_HC", "(refl H, refl C) not balanced over [%.*s, %.*s]" % (EXCERPT, b, EXCERPT, n))
+    return t
 
 
 def _candidates(n):
@@ -154,7 +146,8 @@ def _candidates(n):
 
 def enumerate_triplets(n):
     """Lazy iterator over all homology triplets of type n, in lexicographic
-    (B, H, C) order; memory is bounded by the 2^(n+1) - 1 candidate sets."""
+    (B, H, C) order; memory is bounded by the 2^(n+1) - 1 candidate sets.
+    Each triplet is built valid by construction, not re-validated."""
     env = os.environ.get(MAX_N_ENV, DEFAULT_MAX_N)
     try:
         max_n = int(env)
@@ -163,7 +156,8 @@ def enumerate_triplets(n):
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > max_n:
-        raise ValueError("enumeration refused: n = %d exceeds bound %d (set %s to raise it)" % (n, max_n, MAX_N_ENV))
+        raise ValueError("enumeration refused: n = %.*s exceeds bound %d (set %s to raise it)" % (
+            EXCERPT, n, max_n, MAX_N_ENV))
     return _enumerate(n)
 
 
@@ -183,6 +177,8 @@ def _enumerate(n):
                 Cs = by_shape.get((c, H[-1], rem - b - s_h))
                 if not Cs or not balanced(h, n, B, H):
                     continue
+                # Valid by construction: B, H share min h; the C shape key fixes
+                # min C = c, max C = max H and the count; all three balances are tested.
                 for C, refl_c in Cs:
                     if balanced(c, n, refl_b, C) and balanced(b, n, refl_h, refl_c):
                         yield HomologyTriplet(n, B, H, C)

@@ -194,7 +194,9 @@ def test_malformed_stdin_record_exit_2(capsys, monkeypatch, record):
      'record: integer too long: {"n": 999'),
     # Valid JSON, but the list echoed in the error is 150000 characters long.
     ('{"n": 4, "B": [%s], "H": [0], "C": [0]}' % ", ".join(["0"] * 50000), "interval: B not strictly increasing: (0, 0"),
-], ids=["deep", "bigint", "longlist"])
+    # Valid JSON, but n has 4001 digits and the endpoints message echoes n - min C.
+    ('{"n": 1%s, "B": [0], "H": [0], "C": [0]}' % ("0" * 4000), "endpoints: max B = 0 but n - min C = 1000"),
+], ids=["deep", "bigint", "longlist", "bigderived"])
 @pytest.mark.parametrize("argv", [["validate", "--stdin", "--json"], ["solve", "--stdin"]])
 def test_undecodable_stdin_record_exit_2(capsys, monkeypatch, line, message, argv):
     monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
@@ -471,6 +473,32 @@ def test_stdin_bad_line_after_a_reused_record_exit_2(capsys, monkeypatch):
     assert out == '{"n": 4, "support": [0, 1, 2], "alpha": [3, -3, 2]}\n' * 2
     assert err == "invalid triplet (record: not JSON: not json)\n"
     assert len(solved) == 1
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["validate", "--n", "9" * 5000, "--B", "0", "--H", "0", "--C", "0"], 64),  # past int's digit limit
+    (["validate", "--n", "1" + "0" * 4000, "--B", "0", "--H", "0", "--C", "0"], 2),  # endpoints echo n - min C
+    (["validate", "--n", "4", "--B", "0," + "x" * 3000, "--H", "0", "--C", "0"], 64),
+    (["table", *T64_ARGS, "--window", "1," * 1500 + "x"], 64),
+    (["zip", "--roots=-1,-2", "--n", "4", "--scale", "x" * 3000], 64),
+    (["zip", "--roots=%s,5" % ",".join(map(str, range(-1, -3000, -1))), "--n", "2"], 64),
+    (["zip", "--roots=-1", "--n=-" + "9" * 4000], 64),
+    (["enumerate", "--n", "9" * 4000], 64),
+    (["classical", "en", "--w", "x" * 3000], 64),
+    (["classical", "schur", "--lambda", ",".join(map(str, range(3000)))], 64),
+    (["classical", "tensor", "--dims", "2,2", "--weights", "9" * 4000 + ",0"], 64),
+], ids=["int", "endpoints", "int_list", "window", "scale", "roots", "zip_n", "enumerate_n", "w", "lambda", "pinch"])
+def test_long_argv_echo_is_cut(capsys, argv, expected):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (expected, "")
+    # argparse's usage lines, then one error line that echoes an excerpt of the input.
+    *usage, error, last = captured.err.split("\n")
+    assert last == "" and all(line.startswith(("usage: ", " ")) for line in usage)
+    assert len(error.encode()) <= EXCERPT + 100
 
 
 _SMALL_LIST = st.lists(st.integers(-12, 12), min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs)))

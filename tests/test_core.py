@@ -80,7 +80,13 @@ def test_enumerate_n7_count_and_strict_order():
 
 def test_enumerate_is_lazy(monkeypatch):
     built = []
-    monkeypatch.setattr(core, "_check", built.append)
+
+    class Counted(HomologyTriplet):
+        def __init__(self, *fields):
+            super().__init__(*fields)
+            built.append(self)
+
+    monkeypatch.setattr(core, "HomologyTriplet", Counted)
     t = next(iter(enumerate_triplets(8)))
     assert built == [t]  # one triplet built, not the 175560 of the census
     assert (t.B, t.H, t.C) == ((0,), tuple(range(9)), (8,))
@@ -90,22 +96,34 @@ def test_enumerate_is_lazy(monkeypatch):
 
 
 def brute_force_triplets(n):
-    """Oracle: test every triple of nonempty subsets against the constructor."""
+    """Oracle: test every triple of nonempty subsets with `validate_triplet`."""
     subsets = [tuple(sorted(s)) for r in range(1, n + 2) for s in itertools.combinations(range(n + 1), r)]
     found = []
     for B in subsets:
         for H in subsets:
             for C in subsets:
                 try:
-                    found.append(HomologyTriplet(n, B, H, C))
+                    found.append(validate_triplet(n, B, H, C))
                 except TripletError:
                     pass
     return sorted(found, key=lambda t: (t.B, t.H, t.C))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_enumerate_matches_brute_force(n):
     assert list(enumerate_triplets(n)) == brute_force_triplets(n)
+
+
+def test_built_triplets_pass_validation():
+    # Enumeration, rotate() and dual() build triplets without validating
+    # them; each must be exactly what validate_triplet returns for it.
+    count = 0
+    for n in range(1, 7):
+        for t in enumerate_triplets(n):
+            for u in (t, t.rotate(), t.dual()):
+                assert u == validate_triplet(u.n, u.B, u.H, u.C)
+            count += 1
+    assert count == 5599
 
 
 def test_enumerate_sorted_and_closed_under_symmetries():
@@ -150,7 +168,7 @@ def test_enumerate_default_bound(monkeypatch):
 
 def test_count_equation_lemma():
     # s_H + s_C + b = |B| - 1 follows from the count clause and the
-    # definition of i_B; the constructor checks only the clause.
+    # definition of i_B; validate_triplet checks only the clause.
     for n in range(1, 7):
         for t in enumerate_triplets(n):
             assert t.b >= 0
