@@ -16,8 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
 
-from .errors import EXCERPT, ConsistencyError
+from .errors import ConsistencyError
 from .tables import HyperTable, default_window
+
+MAX_SIZE = 1000  # largest n and root count built; the work grows about as size^3
+
+
+def _bounded(what, size):
+    if not 0 <= size <= MAX_SIZE:
+        raise ValueError("need %s %s, got %s" % (what, ">= 0" if size < 0 else "<= %d" % MAX_SIZE, size))
 
 
 @dataclass(frozen=True)
@@ -29,9 +36,10 @@ class RootSequence:
         object.__setattr__(self, "roots", tuple(self.roots))
         object.__setattr__(self, "scale", Fraction(self.scale))
         if not all(type(r) is int for r in self.roots):  # a bool is refused too
-            raise ValueError("roots must be integers: %.*r" % (EXCERPT, self.roots))
+            raise ValueError("roots must be integers: %r" % (self.roots,))
         if any(b >= a for a, b in zip(self.roots, self.roots[1:])):
-            raise ValueError("roots must be strictly decreasing: %.*r" % (EXCERPT, self.roots))
+            raise ValueError("roots must be strictly decreasing: %r" % (self.roots,))
+        _bounded("root count", self.delta)
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
@@ -75,6 +83,7 @@ def supernatural_table(rs, window=None):
 def _integral(roots):
     """RootSequence with the least scale making P integer-valued: delta! / g,
     g = gcd of prod (t - r) over the delta + 1 consecutive twists 0..delta."""
+    _bounded("root count", len(roots))
     g = gcd(*(prod(t - r for r in roots) for t in range(len(roots) + 1)))
     return RootSequence(roots, Fraction(factorial(len(roots)), g))
 
@@ -95,8 +104,7 @@ def pure_zip(rs, n):
     C(n, d) * |P(-d)|.  Flags: resolution iff r_1 <= 0; Cohen-Macaulay iff
     additionally -n <= r_delta.
     """
-    if n < 0:
-        raise ValueError("need n >= 0, got %.*s" % (EXCERPT, n))
+    _bounded("n", n)
     if n < rs.delta:
         warnings.warn("n = %d is smaller than the root count %d" % (n, rs.delta))
     negated = {-r for r in rs.roots}
@@ -111,14 +119,14 @@ def eagon_northcott(w):
     """Roots (-1, ..., -(w-1)) of the Eagon-Northcott complex, w >= 2."""
     if w < 2:
         raise ValueError("need w >= 2")
-    return _integral(tuple(range(-1, -w, -1)))
+    return _integral(range(-1, -w, -1))
 
 
 def buchsbaum_rim(r, m):
     """Roots (-r-1, ..., -r-m) of the Buchsbaum-Rim/Eisenbud complex, r >= 1."""
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
-    return _integral(tuple(range(-r - 1, -r - m - 1, -1)))
+    return _integral(range(-r - 1, -r - m - 1, -1))
 
 
 def schur_roots(lam):
@@ -129,7 +137,7 @@ def schur_roots(lam):
     if m == 0:
         raise ValueError("lambda must be nonempty")
     if any(a < b for a, b in zip(lam, lam[1:])):
-        raise ValueError("lambda must be weakly decreasing: %.*r" % (EXCERPT, lam))
+        raise ValueError("lambda must be weakly decreasing: %r" % (lam,))
     if lam[-1] < -1:
         raise ValueError("need lambda_m >= -1")
     vals = [-lam[i] - m + i for i in range(m)]  # i is 0-based
@@ -150,7 +158,8 @@ def tensor_roots(dims, weights):
         raise ValueError("dims must be >= 1")
     for (u, w), u_next in zip(zip(weights, dims), weights[1:]):
         if u + w - 1 > u_next:
-            raise ValueError("pinching condition violated: %.*s" % (EXCERPT, "%d + %d - 1 > %d" % (u, w, u_next)))
+            raise ValueError("pinching condition violated: %d + %d - 1 > %d" % (u, w, u_next))
+    _bounded("root count", sum(dims) - len(dims))
     roots = []
     for u, w in zip(weights, dims):
         roots.extend(range(-u - w + 1, -u))  # w - 1 consecutive roots

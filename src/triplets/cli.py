@@ -19,36 +19,44 @@ from math import factorial
 
 from . import classical
 from .core import HomologyTriplet, enumerate_triplets, validate_triplet
-from .errors import EXCERPT, ConsistencyError, DegenerateSystem, TripletError
+from .errors import ConsistencyError, DegenerateSystem, TripletError
 from .solver import betti, solve_alpha
 from .squarefree import triplet_betti
 from .tables import full_table, render
 
 USAGE_EXIT = 64
 OUTPUT_CACHE_SIZE = 1024  # distinct --stdin records whose output one run reuses
+EXCERPT = 100  # a stderr line is at most EXCERPT + 100 characters: an input excerpt and its message
+
+
+def _stderr_line(text):
+    """Print one stderr line of at most EXCERPT + 100 characters, newline included: newlines
+    escaped, a longer line cut to its head and `...`.  Every stderr line but argparse's usage."""
+    line = text.replace("\n", "\\n")
+    if len(line) >= EXCERPT + 100:
+        line = line[:EXCERPT + 96] + "..."
+    print(line, file=sys.stderr)
 
 
 class Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        # An argv token may hold a newline; the error stays one line.
-        print("%s: error: %s" % (self.prog, message.replace("\n", "\\n")), file=sys.stderr)
+        _stderr_line("%s: error: %s" % (self.prog, message))
         sys.exit(USAGE_EXIT)
 
 
-def _typed(convert, message):
-    """An argparse type whose error echoes at most EXCERPT characters of the token."""
+def _typed(convert, expected):
+    """An argparse type whose error names the expected form (`--scale 1/0` is a bad value too)."""
     def parse(text):
         try:
             return convert(text)
         except (ValueError, ZeroDivisionError):
-            raise argparse.ArgumentTypeError(message % (EXCERPT, text))
+            raise argparse.ArgumentTypeError("expected %s, got %r" % (expected, text))
     return parse
 
 
-_int = _typed(int, "invalid int value: %.*r")  # argparse's own wording for type=int
-_int_list = _typed(lambda text: tuple(map(int, text.split(","))), "expected a comma-separated integer list, got %.*r")
-_scale = _typed(Fraction, "expected a rational number like 3/2, got %.*r")
+_int_list = _typed(lambda text: tuple(map(int, text.split(","))), "a comma-separated integer list")
+_scale = _typed(Fraction, "a rational number like 3/2")
 
 
 def _window(text):
@@ -59,7 +67,7 @@ def _window(text):
 
 
 def _add_triplet_args(p):
-    p.add_argument("--n", type=_int)
+    p.add_argument("--n", type=int)
     p.add_argument("--B", type=_int_list)
     p.add_argument("--H", type=_int_list)
     p.add_argument("--C", type=_int_list)
@@ -88,29 +96,29 @@ def build_parser():
     p.add_argument("--window", type=_window)
 
     p = sub.add_parser("enumerate")
-    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("zip")
     p.add_argument("--roots", type=_int_list, required=True)
     p.add_argument("--scale", type=_scale, default=Fraction(1))
-    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("classical")
     csub = p.add_subparsers(dest="family", required=True, parser_class=Parser)
     q = csub.add_parser("en")
-    q.add_argument("--w", type=_int, required=True)
+    q.add_argument("--w", type=int, required=True)
     q = csub.add_parser("br")
-    q.add_argument("--r", type=_int, required=True)
-    q.add_argument("--m", type=_int, required=True)
+    q.add_argument("--r", type=int, required=True)
+    q.add_argument("--m", type=int, required=True)
     q = csub.add_parser("schur")
     q.add_argument("--lambda", dest="lam", type=_int_list, required=True)
     q = csub.add_parser("tensor")
     q.add_argument("--dims", type=_int_list, required=True)
     q.add_argument("--weights", type=_int_list, required=True)
     for q in csub.choices.values():
-        q.add_argument("--n", type=_int)
+        q.add_argument("--n", type=int)
         q.add_argument("--json", action="store_true")
     return parser
 
@@ -220,16 +228,12 @@ def _run(args, parser):
     return 0
 
 
-def _warning_line(message, *_):
-    print("warning: %s" % message, file=sys.stderr)
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         with warnings.catch_warnings():
-            warnings.showwarning = _warning_line
+            warnings.showwarning = lambda message, *_: _stderr_line("warning: %s" % message)
             code = _run(args, parser)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
@@ -241,16 +245,16 @@ def main(argv=None):
         os.close(devnull)
         return 0
     except TripletError as exc:
-        print("invalid triplet (%s)" % exc, file=sys.stderr)
+        _stderr_line("invalid triplet (%s)" % exc)
         return 2
     except DegenerateSystem as exc:
-        print("solver degeneracy: %s" % exc, file=sys.stderr)
+        _stderr_line("solver degeneracy: %s" % exc)
         return 3
     except ConsistencyError as exc:
-        print("consistency check failed: %s" % exc, file=sys.stderr)
+        _stderr_line("consistency check failed: %s" % exc)
         return 4
     except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        _stderr_line("error: %s" % exc)
         return USAGE_EXIT
 
 

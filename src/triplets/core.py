@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 
 from .degsets import balanced, reflect
-from .errors import EXCERPT, TripletError
+from .errors import TripletError
 
 MAX_N_ENV = "TRIPLETS_MAX_N"
 DEFAULT_MAX_N = 9
@@ -77,14 +77,14 @@ class HomologyTriplet:
         except (ValueError, RecursionError) as exc:  # the one other ValueError: an int past the digit limit
             cause = ("not JSON" if isinstance(exc, json.JSONDecodeError)
                      else "nested too deeply" if isinstance(exc, RecursionError) else "integer too long")
-            raise TripletError("record", "%s: %.*s" % (cause, EXCERPT, line.strip())) from None
+            raise TripletError("record", "%s: %s" % (cause, line.strip())) from None
         if not isinstance(d, dict) or not {"n", "B", "H", "C"} <= d.keys():
-            raise TripletError("record", "expected an object with keys n, B, H, C: %.*s" % (EXCERPT, line.strip()))
+            raise TripletError("record", "expected an object with keys n, B, H, C: %s" % line.strip())
         if type(d["n"]) is not int:
-            raise TripletError("record", "n must be an integer, got %.*r" % (EXCERPT, d["n"]))
+            raise TripletError("record", "n must be an integer, got %r" % (d["n"],))
         for name in "BHC":
             if type(d[name]) is not list or any(type(x) is not int for x in d[name]):
-                raise TripletError("record", "%s must be a list of integers, got %.*r" % (name, EXCERPT, d[name]))
+                raise TripletError("record", "%s must be a list of integers, got %r" % (name, d[name]))
         return validate_triplet(d["n"], d["B"], d["H"], d["C"])
 
 
@@ -94,37 +94,37 @@ def validate_triplet(n, B, H, C):
     is not an integer here, although Python makes it one."""
     sets = tuple(B), tuple(H), tuple(C)
     if type(n) is not int or any(type(x) is not int for ms in sets for x in ms):
-        raise TripletError("interval", "n, B, H, C must be integers: %.*r" % (EXCERPT, (n, *sets)))
+        raise TripletError("interval", "n, B, H, C must be integers: %r" % ((n, *sets),))
     t = HomologyTriplet(n, *(tuple(sorted(ms)) for ms in sets))
     for name, ms in zip("BHC", (t.B, t.H, t.C)):
         if not ms:
             raise TripletError("interval", "%s is empty" % name)
         if len(set(ms)) != len(ms):  # ms is sorted, so only a repeat can break it
-            raise TripletError("interval", "%s not strictly increasing: %.*r" % (name, EXCERPT, ms))
+            raise TripletError("interval", "%s not strictly increasing: %r" % (name, ms))
         if ms[0] < 0 or ms[-1] > n:
-            raise TripletError("interval", "%s = %.*r not within [0, %.*s]" % (name, EXCERPT, ms, EXCERPT, n))
+            raise TripletError("interval", "%s = %r not within [0, %s]" % (name, ms, n))
 
     h, c, b = t.h, t.c, t.b
     if t.B[0] != h:
-        raise TripletError("endpoints", "min B = %.*s but min H = %.*s" % (EXCERPT, t.B[0], EXCERPT, h))
+        raise TripletError("endpoints", "min B = %s but min H = %s" % (t.B[0], h))
     if t.B[-1] != n - c:
-        raise TripletError("endpoints", "max B = %.*s but n - min C = %.*s" % (EXCERPT, t.B[-1], EXCERPT, n - c))
+        raise TripletError("endpoints", "max B = %s but n - min C = %s" % (t.B[-1], n - c))
     if t.C[-1] != n - b:
-        raise TripletError("endpoints", "max C = %.*s but max H = %.*s" % (EXCERPT, t.C[-1], EXCERPT, t.H[-1]))
+        raise TripletError("endpoints", "max C = %s but max H = %s" % (t.C[-1], t.H[-1]))
     # With the endpoints fixed, containment of H and C in their intervals
     # reduces to c <= n - b which max C already guarantees.
 
     i_b, s_h, s_c = t.i_B, t.s_H, t.s_C
     if n != b + h + c + i_b + s_h + s_c:
         terms = "+".join(map(str, (b, h, c, i_b, s_h, s_c)))
-        raise TripletError("count", "n = %.*s but b+h+c+i_B+s_H+s_C = %.*s" % (EXCERPT, n, EXCERPT, terms))
+        raise TripletError("count", "n = %s but b+h+c+i_B+s_H+s_C = %s" % (n, terms))
 
     if not balanced(h, n, t.B, t.H):
-        raise TripletError("balanced_BH", "(B, H) not balanced over [%.*s, %.*s]" % (EXCERPT, h, EXCERPT, n))
+        raise TripletError("balanced_BH", "(B, H) not balanced over [%s, %s]" % (h, n))
     if not balanced(c, n, reflect(t.B, n), t.C):
-        raise TripletError("balanced_BC", "(refl B, C) not balanced over [%.*s, %.*s]" % (EXCERPT, c, EXCERPT, n))
+        raise TripletError("balanced_BC", "(refl B, C) not balanced over [%s, %s]" % (c, n))
     if not balanced(b, n, reflect(t.H, n), reflect(t.C, n)):
-        raise TripletError("balanced_HC", "(refl H, refl C) not balanced over [%.*s, %.*s]" % (EXCERPT, b, EXCERPT, n))
+        raise TripletError("balanced_HC", "(refl H, refl C) not balanced over [%s, %s]" % (b, n))
     return t
 
 
@@ -156,8 +156,7 @@ def enumerate_triplets(n):
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > max_n:
-        raise ValueError("enumeration refused: n = %.*s exceeds bound %d (set %s to raise it)" % (
-            EXCERPT, n, max_n, MAX_N_ENV))
+        raise ValueError("enumeration refused: n = %s exceeds bound %d (set %s to raise it)" % (n, max_n, MAX_N_ENV))
     return _enumerate(n)
 
 

@@ -1,7 +1,5 @@
 """Error types shared across the package."""
 
-EXCERPT = 100  # at most this many characters of an input are echoed in an error message
-
 
 class TripletError(ValueError):
     """A (B, H, C) candidate fails one of the defining clauses.

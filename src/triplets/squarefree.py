@@ -28,13 +28,9 @@ def _strand_sum(family, n, twist):
     return BettiDiagram(tuple((q, d, acc[d]) for q, d in enumerate(sorted(acc))))
 
 
-def rotated_betti_via_strands(t, alpha=None, fam=None):
+def rotated_betti_via_strands(t, alpha, fam):
     """Betti diagram of rotate(t): the strands of the chi family at twist n - k.
-    Takes `alpha = solve_alpha(t)` and `fam = chi_family(t, alpha)`, made when not given."""
-    if alpha is None:
-        alpha = solve_alpha(t)
-    if fam is None:
-        fam = chi_family(t, alpha)
+    Takes `alpha = solve_alpha(t)` and `fam = chi_family(t, alpha)`."""
     return _strand_sum(fam.chi_series, t.n, lambda k: t.n - k)
 
 

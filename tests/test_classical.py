@@ -18,7 +18,8 @@ from triplets import (
     tensor_roots,
     zip_terms,
 )
-from triplets.classical import cohomology_row
+from triplets.classical import MAX_SIZE, cohomology_row
+from triplets.cli import main
 
 from oracles import pure_zip_ranks, supernatural_cells, supernatural_poly
 
@@ -221,6 +222,36 @@ def test_pure_zip_partition_and_warning():
     with pytest.raises(ValueError):
         pure_zip(rs, -1)
     assert pure_zip(RootSequence(()), 0).degrees == (0,)
+
+
+_DOWN = ",".join(str(-k) for k in range(1, MAX_SIZE + 2))  # MAX_SIZE + 1 decreasing roots
+
+
+@pytest.mark.parametrize("argv", [
+    ["zip", "--roots=-1", "--n", str(MAX_SIZE + 1)],
+    ["zip", "--roots=-1", "--n", "14400"],
+    ["zip", "--roots=" + _DOWN, "--n", "2"],
+    ["classical", "en", "--w", str(MAX_SIZE + 2)],
+    ["classical", "en", "--w", str(10 ** 9)],
+    ["classical", "en", "--w", "3", "--n", str(MAX_SIZE + 1)],
+    ["classical", "br", "--r", "1", "--m", str(MAX_SIZE + 1)],
+    ["classical", "schur", "--lambda", ",".join(["0"] * (MAX_SIZE + 1))],
+    ["classical", "tensor", "--dims", str(10 ** 9), "--weights", "0"],
+], ids=["zip_n", "zip_n_14400", "zip_roots", "en_w", "en_w_1e9", "en_n", "br_m", "schur", "tensor"])
+def test_classical_size_bound(capsys, argv):
+    # Refused before anything is built: exit 64 with one line naming the bound.
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: need ") and captured.err.count("\n") == 1
+    assert "<= %d, got " % MAX_SIZE in captured.err
+
+
+def test_classical_size_bound_is_inclusive():
+    assert RootSequence(tuple(range(-1, -MAX_SIZE - 1, -1))).delta == MAX_SIZE
+    assert len(pure_zip(RootSequence(()), MAX_SIZE).degrees) == MAX_SIZE + 1
+    with pytest.raises(ValueError, match="need n <= %d, got %d" % (MAX_SIZE, MAX_SIZE + 1)):
+        pure_zip(RootSequence(()), MAX_SIZE + 1)
 
 
 def test_supernatural_table_matches_fraction_oracle():

@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triplets import ConsistencyError, Overdetermined, enumerate_triplets, triplet_betti, validate_triplet
-from triplets.cli import main
-from triplets.core import EXCERPT
+from triplets.cli import EXCERPT, main
 
 T64_ARGS = ["--n", "4", "--B", "0,1,2", "--H", "0,2,4", "--C", "2,3,4"]
 T64_LINE = '{"n": 4, "B": [0, 1, 2], "H": [0, 2, 4], "C": [2, 3, 4]}\n'
@@ -487,7 +486,10 @@ def test_stdin_bad_line_after_a_reused_record_exit_2(capsys, monkeypatch):
     (["classical", "en", "--w", "x" * 3000], 64),
     (["classical", "schur", "--lambda", ",".join(map(str, range(3000)))], 64),
     (["classical", "tensor", "--dims", "2,2", "--weights", "9" * 4000 + ",0"], 64),
-], ids=["int", "endpoints", "int_list", "window", "scale", "roots", "zip_n", "enumerate_n", "w", "lambda", "pinch"])
+    (["x" * 3000], 64),  # argparse's invalid choice
+    (["validate", *T64_ARGS, "y" * 3000], 64),  # argparse's unrecognized arguments
+], ids=["int", "endpoints", "int_list", "window", "scale", "roots", "zip_n", "enumerate_n", "w", "lambda", "pinch",
+        "choice", "unrecognized"])
 def test_long_argv_echo_is_cut(capsys, argv, expected):
     try:
         code = main(argv)
@@ -499,6 +501,23 @@ def test_long_argv_echo_is_cut(capsys, argv, expected):
     *usage, error, last = captured.err.split("\n")
     assert last == "" and all(line.startswith(("usage: ", " ")) for line in usage)
     assert len(error.encode()) <= EXCERPT + 100
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_stderr_line_is_cut_past_the_bound(capsys, monkeypatch, extra):
+    # A line of EXCERPT + 100 characters with its newline prints whole; one more is cut to its head and `...`.
+    message = "x" * (EXCERPT + 72 + extra) + "!"
+    line = "consistency check failed: " + message
+    assert len(line + "\n") == EXCERPT + 100 + extra
+
+    def boom(_):
+        raise ConsistencyError(message)
+
+    monkeypatch.setattr("triplets.cli.solve_alpha", boom)
+    code, out, err = run(capsys, "solve", *T64_ARGS)
+    assert (code, out) == (4, "")
+    assert err == (line[:EXCERPT + 96] + "...\n" if extra else line + "\n")
+    assert len(err) == EXCERPT + 100
 
 
 _SMALL_LIST = st.lists(st.integers(-12, 12), min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs)))

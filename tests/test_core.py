@@ -41,6 +41,14 @@ def test_validation_clauses():
     assert clause_of(3, [0, 1, 2], [0, 1, 3], [1, 3]) == "balanced_HC"
 
 
+def test_validation_message_holds_the_whole_input():
+    # The library's message is whole; only what the CLI prints is cut.
+    B = [0] * 50000
+    with pytest.raises(TripletError) as exc:
+        validate_triplet(4, B, [0], [0])
+    assert str(exc.value) == "interval: B not strictly increasing: %r" % (tuple(B),)
+
+
 def test_paper_examples_valid(t64, t42, t44):
     assert (t64.h, t64.c, t64.b) == (0, 2, 0)
     assert (t64.i_B, t64.s_H, t64.s_C) == (0, 2, 0)
