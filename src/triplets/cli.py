@@ -26,16 +26,16 @@ from .tables import full_table, render
 
 USAGE_EXIT = 64
 OUTPUT_CACHE_SIZE = 1024  # distinct --stdin records whose output one run reuses
-EXCERPT = 100  # a stderr line is at most EXCERPT + 100 characters: an input excerpt and its message
+EXCERPT = 100  # a stderr line is at most EXCERPT + 100 UTF-8 bytes: an input excerpt and its message
 
 
 def _stderr_line(text):
-    """Print one stderr line of at most EXCERPT + 100 characters, newline included: newlines
-    escaped, a longer line cut to its head and `...`.  Every stderr line but argparse's usage."""
-    line = text.replace("\n", "\\n")
+    """Print one stderr line of at most EXCERPT + 100 UTF-8 bytes with its newline: newlines escaped,
+    a longer line cut to its head (never inside a character) and `...`; every stderr line but argparse's usage."""
+    line = text.replace("\n", "\\n").encode(errors="backslashreplace")
     if len(line) >= EXCERPT + 100:
-        line = line[:EXCERPT + 96] + "..."
-    print(line, file=sys.stderr)
+        line = line[:EXCERPT + 96] + b"..."
+    print(line.decode(errors="ignore"), file=sys.stderr)
 
 
 class Parser(argparse.ArgumentParser):
@@ -99,9 +99,10 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("zip")
+    p = sub.add_parser("zip")  # zip and classical set make_roots: args -> RootSequence
     p.add_argument("--roots", type=_int_list, required=True)
     p.add_argument("--scale", type=_scale, default=Fraction(1))
+    p.set_defaults(make_roots=lambda a: classical.RootSequence(a.roots, a.scale))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true")
 
@@ -109,14 +110,18 @@ def build_parser():
     csub = p.add_subparsers(dest="family", required=True, parser_class=Parser)
     q = csub.add_parser("en")
     q.add_argument("--w", type=int, required=True)
+    q.set_defaults(make_roots=lambda a: classical.eagon_northcott(a.w))
     q = csub.add_parser("br")
     q.add_argument("--r", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
+    q.set_defaults(make_roots=lambda a: classical.buchsbaum_rim(a.r, a.m))
     q = csub.add_parser("schur")
     q.add_argument("--lambda", dest="lam", type=_int_list, required=True)
+    q.set_defaults(make_roots=lambda a: classical.schur_roots(a.lam))
     q = csub.add_parser("tensor")
     q.add_argument("--dims", type=_int_list, required=True)
     q.add_argument("--weights", type=_int_list, required=True)
+    q.set_defaults(make_roots=lambda a: classical.tensor_roots(a.dims, a.weights))
     for q in csub.choices.values():
         q.add_argument("--n", type=int)
         q.add_argument("--json", action="store_true")
@@ -149,9 +154,16 @@ def _power_form(series):
     return " + ".join(terms) or "0"
 
 
-def _emit_report(report, roots, args):
-    if args.json:
-        print(json.dumps({
+def _roots_text(roots, n, as_json):
+    """The text `zip` and `classical` print, built whole: the pure zip report
+    of the root sequence at n, or the roots alone when n is None."""
+    if n is None:
+        if as_json:
+            return json.dumps({"roots": list(roots.roots), "scale": str(roots.scale)})
+        return "roots: " + ",".join(map(str, roots.roots))
+    report = classical.pure_zip(roots, n)
+    if as_json:
+        return json.dumps({
             "roots": list(roots.roots),
             "scale": str(roots.scale),
             "n": report.n,
@@ -159,12 +171,9 @@ def _emit_report(report, roots, args):
             "ranks": list(report.ranks),
             "is_resolution": report.is_resolution,
             "is_cm": report.is_cm,
-        }))
-    else:
-        print("degrees:", ",".join(map(str, report.degrees)))
-        print("ranks:", ",".join(map(str, report.ranks)))
-        print("resolution:", report.is_resolution)
-        print("cohen-macaulay:", report.is_cm)
+        })
+    return "degrees: %s\nranks: %s\nresolution: %s\ncohen-macaulay: %s" % (
+        ",".join(map(str, report.degrees)), ",".join(map(str, report.ranks)), report.is_resolution, report.is_cm)
 
 
 def _output(cmd, as_json, window, t):
@@ -194,38 +203,16 @@ def _output(cmd, as_json, window, t):
     return table.to_json() if as_json else render(table)
 
 
-def _run(args, parser):
-    cmd = args.command
-    if cmd == "enumerate":
-        for t in enumerate_triplets(args.n):
-            print(t.to_json())
-        return 0
-    if cmd == "zip":
-        roots = classical.RootSequence(args.roots, args.scale)
-        _emit_report(classical.pure_zip(roots, args.n), roots, args)
-        return 0
-    if cmd == "classical":
-        if args.family == "en":
-            roots = classical.eagon_northcott(args.w)
-        elif args.family == "br":
-            roots = classical.buchsbaum_rim(args.r, args.m)
-        elif args.family == "schur":
-            roots = classical.schur_roots(args.lam)
-        else:
-            roots = classical.tensor_roots(args.dims, args.weights)
-        if args.n is not None:
-            _emit_report(classical.pure_zip(roots, args.n), roots, args)
-        elif args.json:
-            print(json.dumps({"roots": list(roots.roots), "scale": str(roots.scale)}))
-        else:
-            print("roots:", ",".join(map(str, roots.roots)))
-        return 0
-
+def _texts(args, parser):
+    """The chunks the subcommand prints, one `print` each: a `zip`/`classical` report
+    is one chunk built whole, and `enumerate` and the triplet subcommands stream."""
+    if args.command == "enumerate":
+        return map(HomologyTriplet.to_json, enumerate_triplets(args.n))
+    if hasattr(args, "make_roots"):  # zip, classical
+        return [_roots_text(args.make_roots(args), args.n, args.json)]
     window = getattr(args, "window", None)
-    output = lru_cache(maxsize=OUTPUT_CACHE_SIZE)(partial(_output, cmd, args.json, window))
-    for t in _triplets_from(args, parser):
-        print(output(t))
-    return 0
+    output = lru_cache(maxsize=OUTPUT_CACHE_SIZE)(partial(_output, args.command, args.json, window))
+    return map(output, _triplets_from(args, parser))
 
 
 def main(argv=None):
@@ -234,9 +221,10 @@ def main(argv=None):
     try:
         with warnings.catch_warnings():
             warnings.showwarning = lambda message, *_: _stderr_line("warning: %s" % message)
-            code = _run(args, parser)
+            for text in _texts(args, parser):
+                print(text)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
-        return code
+        return 0
     except BrokenPipeError:
         # The reader is gone: point stdout at devnull so that flushing what
         # is still buffered at interpreter exit cannot fail again.

@@ -25,6 +25,8 @@ from .degsets import strand_starts
 from .errors import ConsistencyError, Overdetermined, Underdetermined
 from .linalg import newton_series, nullspace
 
+MAX_N = 100  # largest n solved: the slowest shape found takes about 0.8 s at n = 100 and grows about as n^7
+
 
 @dataclass(frozen=True)
 class AlphaVector:
@@ -59,6 +61,8 @@ def build_equations(t):
 
 def solve_alpha(t):
     """Primitive integer alpha with alpha_{d_0} > 0; unique up to scale."""
+    if t.n > MAX_N:
+        raise ValueError("need n <= %d to solve, got %s" % (MAX_N, t.n))
     basis = nullspace(build_equations(t), len(t.B))
     if not basis:
         raise Overdetermined(t)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triplets import ConsistencyError, Overdetermined, enumerate_triplets, triplet_betti, validate_triplet
-from triplets.cli import EXCERPT, main
+from triplets.cli import EXCERPT, _texts, build_parser, main
+from triplets.solver import MAX_N
 
 T64_ARGS = ["--n", "4", "--B", "0,1,2", "--H", "0,2,4", "--C", "2,3,4"]
 T64_LINE = '{"n": 4, "B": [0, 1, 2], "H": [0, 2, 4], "C": [2, 3, 4]}\n'
@@ -305,6 +307,52 @@ def test_classical_subcommands(capsys):
     assert out == "roots: -1,-3\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["classical", "en", "--w", "3"],
+    ["classical", "en", "--w", "3", "--json"],
+    ["classical", "br", "--r", "1", "--m", "2", "--n", "3", "--json"],
+    ["classical", "br", "--r", "1", "--m", "2", "--n", "3"],
+    ["zip", "--roots=-1,-2", "--n", "4"],
+])
+def test_roots_report_is_one_chunk(capsys, argv):
+    parser = build_parser()
+    chunks = list(_texts(parser.parse_args(argv), parser))
+    assert len(chunks) == 1
+    assert run(capsys, *argv) == (0, chunks[0] + "\n", "")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_zip_report_prints_whole_or_not_at_all(capsys, flags):
+    # The ranks of a 4200-digit root are past int's string conversion limit;
+    # the degrees line before them, 3904 bytes long, is not printed either.
+    code, out, err = run(capsys, "zip", "--roots=-" + "9" * 4200, "--n", "1000", *flags)
+    assert (code, out) == (64, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert len(err.encode()) <= EXCERPT + 100
+
+
+def test_solve_bound_exit_64(capsys, monkeypatch):
+    # (n, [0..n], [0], [0]) is valid for every n; past MAX_N it is refused before any equation is built.
+    def record(n):
+        return json.dumps({"n": n, "B": list(range(n + 1)), "H": [0], "C": [0]})
+
+    _batch(monkeypatch, T64_LINE.strip(), record(MAX_N), record(MAX_N + 1), T64_LINE.strip())
+    code, out, err = run(capsys, "solve", "--stdin", "--json")
+    assert code == 64
+    assert [json.loads(line)["n"] for line in out.splitlines()] == [4, MAX_N]
+    assert err == "error: need n <= %d to solve, got %d\n" % (MAX_N, MAX_N + 1)
+
+
+def test_stdout_is_written_in_one_place():
+    # Two print calls in cli: main's loop over _texts, and _stderr_line.
+    def prints(node):
+        return sum(isinstance(x, ast.Call) and getattr(x.func, "id", None) == "print" for x in ast.walk(node))
+
+    tree = ast.parse((SRC / "triplets" / "cli.py").read_text())
+    assert prints(tree) == 2
+    assert [f.name for f in tree.body if isinstance(f, ast.FunctionDef) and prints(f)] == ["_stderr_line", "main"]
+
+
 def test_usage_errors_exit_64(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["validate", "--n", "4"])  # missing --B/--H/--C
@@ -488,8 +536,10 @@ def test_stdin_bad_line_after_a_reused_record_exit_2(capsys, monkeypatch):
     (["classical", "tensor", "--dims", "2,2", "--weights", "9" * 4000 + ",0"], 64),
     (["x" * 3000], 64),  # argparse's invalid choice
     (["validate", *T64_ARGS, "y" * 3000], 64),  # argparse's unrecognized arguments
+    (["validate", "--n", "4", "--B", "0," + "é" * 3000, "--H", "0", "--C", "0"], 64),  # two UTF-8 bytes a character
+    (["validate", *T64_ARGS, "\udcff" * 3000], 64),  # an undecodable argv byte, printed as `\udcff`
 ], ids=["int", "endpoints", "int_list", "window", "scale", "roots", "zip_n", "enumerate_n", "w", "lambda", "pinch",
-        "choice", "unrecognized"])
+        "choice", "unrecognized", "utf8", "surrogate"])
 def test_long_argv_echo_is_cut(capsys, argv, expected):
     try:
         code = main(argv)
