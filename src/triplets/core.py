@@ -68,7 +68,8 @@ class HomologyTriplet:
         return HomologyTriplet(self.n, reflect(self.B, self.n), self.C, self.H)
 
     def to_json(self):
-        return json.dumps({"n": self.n, "B": list(self.B), "H": list(self.H), "C": list(self.C)})
+        """The bytes json.dumps gives for {"n", "B", "H", "C"}: an int list prints as JSON."""
+        return '{"n": %d, "B": %s, "H": %s, "C": %s}' % (self.n, list(self.B), list(self.H), list(self.C))
 
     @classmethod
     def from_json(cls, line):

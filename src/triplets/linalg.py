@@ -12,19 +12,21 @@ Systems are solved by Bareiss elimination on integer rows.
 
 from itertools import accumulate
 from math import gcd
+from operator import add, mul
 
 
 def newton_series(alpha):
     """Newton series a_0..a_n of sum_i alpha_i P_{n,i}: a_m = sum_i alpha_i C(m, i).
 
-    With g(e) = (-1)^e alpha_e = p(-e), a_m = (-1)^m (Delta^m g)(0).  The
-    polynomial has degree <= n - b iff a_{n-j} = 0 for j = 0..b-1.
+    By Pascal's rule a_m = u_m(0) for u_0 = alpha and u_{m+1}(i) = u_m(i) +
+    u_m(i+1).  (With g(e) = (-1)^e alpha_e = p(-e), a_m = (-1)^m (Delta^m g)(0).)
+    The polynomial has degree <= n - b iff a_{n-j} = 0 for j = 0..b-1.
     """
-    g = [-x if e % 2 else x for e, x in enumerate(alpha)]
+    u = list(alpha)
     out = []
-    for m in range(len(g)):
-        out.append(-g[0] if m % 2 else g[0])
-        g = [y - x for x, y in zip(g, g[1:])]
+    for _ in range(len(u)):
+        out.append(u[0])
+        u = list(map(add, u, u[1:]))
     return tuple(out)
 
 
@@ -57,14 +59,16 @@ def row_echelon(rows, ncols):
     for row in rows:
         if len(row) != ncols:
             raise ValueError("ragged matrix: row of length %d, expected %d" % (len(row), ncols))
-        if any(type(x) is not int for x in row):
+        if {*map(type, row)} - {int}:
             raise TypeError("matrix entries must be int: %r" % (row,))
     piv_cols = []
     r = 0
     prev = 1
     for c in range(ncols):
-        k = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if k is None:
+        for k in range(r, len(rows)):
+            if rows[k][c]:
+                break
+        else:
             continue
         rows[r], rows[k] = rows[k], rows[r]
         top = rows[r]
@@ -92,7 +96,7 @@ def nullspace(rows, ncols):
         for r in range(len(piv_cols) - 1, -1, -1):
             c = piv_cols[r]
             row = ech[r]
-            s = sum(row[j] * v[j] for j in range(c + 1, ncols))
+            s = sum(map(mul, row[c + 1:], v[c + 1:]))
             p = row[c]
             k = abs(p) // gcd(s, p)  # scale v so the pivot divides
             if k != 1:

@@ -16,9 +16,9 @@ validated tuples H over [h, n-b] and C over [c, n-b].  No polynomial is
 built: every value and identity is read off the integer series.
 """
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from math import comb
 
 from .degsets import strand_starts
@@ -43,19 +43,21 @@ class AlphaVector:
         return newton_series(self.values)
 
     def to_json(self):
-        return json.dumps({"n": self.n, "support": list(self.support), "alpha": list(self.on_support())})
+        """The bytes json.dumps gives for {"n", "support", "alpha"}: an int list prints as JSON."""
+        return '{"n": %d, "support": %s, "alpha": %s}' % (self.n, list(self.support), list(self.on_support()))
 
 
 def build_equations(t):
     hset = set(t.H)
     cset = set(t.C)
+    refl = [t.n - i for i in t.B]
     rows = []
     for r in range(t.h, t.n + 1):
         if r not in hset:
-            rows.append(tuple(comb(r, i) for i in t.B))
+            rows.append(tuple(map(comb, repeat(r), t.B)))
     for r in range(t.c, t.n - t.b + 1):
         if r not in cset:
-            rows.append(tuple(comb(r, t.n - i) for i in t.B))
+            rows.append(tuple(map(comb, repeat(r), refl)))
     return tuple(rows)
 
 
@@ -76,7 +78,7 @@ def solve_alpha(t):
         values[i] = v
     alpha = AlphaVector(t.n, t.B, tuple(values))
     for q, d in enumerate(t.B):
-        if (-1) ** q * values[d] <= 0:
+        if (-values[d] if q % 2 else values[d]) <= 0:
             raise ConsistencyError("sign convention violated at q=%d for %r" % (q, t))
     # Degree exactly n - b: A_{n-j} = 0 for j < b and A_{n-b} != 0.
     top = t.n - t.b
@@ -88,8 +90,9 @@ def solve_alpha(t):
 def dual_alpha(alpha):
     """alpha*_i = (-1)^(|B|-1) alpha_{n-i}, supported on refl(B)."""
     n = alpha.n
-    sign = (-1) ** (len(alpha.support) - 1)
-    values = tuple(sign * alpha.values[n - i] for i in range(n + 1))
+    values = tuple(alpha.values[::-1])
+    if not len(alpha.support) % 2:
+        values = tuple(-x for x in values)
     support = tuple(sorted(n - i for i in alpha.support))
     out = AlphaVector(n, support, values)
     if out.values[support[0]] <= 0:
@@ -158,7 +161,8 @@ class BettiDiagram:
         return tuple(e[2] for e in self.entries)
 
     def to_json(self):
-        return json.dumps({"twists": list(self.twists()), "ranks": list(self.ranks())})
+        """The bytes json.dumps gives for {"twists", "ranks"}: an int list prints as JSON."""
+        return '{"twists": %s, "ranks": %s}' % (list(self.twists()), list(self.ranks()))
 
     def render(self):
         """Macaulay2-style grid: columns = homological index, rows = twist - index."""
@@ -184,7 +188,7 @@ def betti(t, alpha=None):
         alpha = solve_alpha(t)
     entries = []
     for q, d in enumerate(t.B):
-        rank = comb(t.n, d) * (-1) ** q * alpha.values[d]
+        rank = comb(t.n, d) * (-alpha.values[d] if q % 2 else alpha.values[d])
         if rank <= 0:
             raise ConsistencyError("nonpositive Betti number at q=%d for %r" % (q, t))
         entries.append((q, d, rank))

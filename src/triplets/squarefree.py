@@ -20,11 +20,12 @@ def _strand_sum(family, n, twist):
     Newton series a adds a_k C(n, k) at twist(k); entries by ascending twist."""
     acc = {}
     for a in family:
-        if any(x < 0 for x in a):
+        if a and min(a) < 0:
             raise ConsistencyError("negative class coefficients %r" % (a,))
         for k, x in enumerate(a):
             if x:
-                acc[twist(k)] = acc.get(twist(k), 0) + x * comb(n, k)
+                d = twist(k)
+                acc[d] = acc.get(d, 0) + x * comb(n, k)
     return BettiDiagram(tuple((q, d, acc[d]) for q, d in enumerate(sorted(acc))))
 
 

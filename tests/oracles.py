@@ -13,7 +13,8 @@ from functools import cache
 from math import comb, factorial, lcm, prod
 
 from triplets import BettiDiagram, ConsistencyError, HyperTable, betti, chi_family, dual_alpha, solve_alpha, strand_starts
-from triplets.linalg import newton_series
+from triplets.linalg import newton_series, newton_values
+from triplets.tables import default_window
 
 
 class RatPoly:
@@ -216,6 +217,44 @@ def corner_table(t, alpha=None):
     for q, d in enumerate(t.B):
         cells[(d - q, -q)] = (-1) ** q * alpha.values[d]
     return HyperTable.build((-len(t.B) + 1, 0), cells)
+
+
+def cell_dict_full_table(t, alpha=None, window=None, fam=None):
+    """`full_table` assembled through a cell dict: every cell is checked for
+    sign as it is put, then the nonzero cells are sorted into entries."""
+    if alpha is None:
+        alpha = solve_alpha(t)
+    if window is None:
+        window = default_window(t.n)
+    lo, hi = window
+    if lo > -len(t.B) + 1 or hi < 0:
+        raise ValueError("window must contain [%d, 0]" % (-len(t.B) + 1))
+    if fam is None:
+        fam = chi_family(t, alpha)
+    cells = {}
+
+    def put(j, p, v, what):
+        if v < 0:
+            raise ConsistencyError("negative %s entry at (%d, %d)" % (what, j, p))
+        cells[j, p] = v
+
+    for q, d in enumerate(t.B):
+        if lo <= -q <= hi:
+            put(d - q, -q, (-1) ** q * alpha.values[d], "corner")
+    # Row -q holds chi_q(p + q) in column p.
+    for q, chi in enumerate(fam.chi_series):
+        first = max(lo, -q + 1)
+        for p, v in enumerate(newton_values(chi, first + q, hi + q + 1), first):
+            put(-q, p, v, "homology")
+    # Row n+1-|B|+q holds psi_q(row - n - p) in column p, p descending.
+    base = t.n + 1 - len(t.B)
+    for q, psi in enumerate(fam.psi_series):
+        row = base + q
+        last = min(hi, row - t.n - 1)
+        for p, v in enumerate(newton_values(psi, row - t.n - last, row - t.n - lo + 1)):
+            put(row, last - p, v, "dual")
+
+    return HyperTable.build(window, cells)
 
 
 def table_euler(table, t, rows=None):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from triplets import ConsistencyError, Overdetermined, enumerate_triplets, triplet_betti, validate_triplet
 from triplets.cli import EXCERPT, _texts, build_parser, main
 from triplets.solver import MAX_N
+from triplets.tables import MAX_WINDOW_WIDTHS
 
 T64_ARGS = ["--n", "4", "--B", "0,1,2", "--H", "0,2,4", "--C", "2,3,4"]
 T64_LINE = '{"n": 4, "B": [0, 1, 2], "H": [0, 2, 4], "C": [2, 3, 4]}\n'
@@ -341,6 +342,18 @@ def test_solve_bound_exit_64(capsys, monkeypatch):
     assert code == 64
     assert [json.loads(line)["n"] for line in out.splitlines()] == [4, MAX_N]
     assert err == "error: need n <= %d to solve, got %d\n" % (MAX_N, MAX_N + 1)
+
+
+def test_table_window_bound_exit_64(capsys, monkeypatch):
+    # T64 has n = 4, so the widest window has MAX_WINDOW_WIDTHS * 16 columns; a
+    # wider one is refused before the triplet is solved.
+    solved = _counted_solves(monkeypatch)
+    width = MAX_WINDOW_WIDTHS * 16
+    code, out, _ = run(capsys, "table", *T64_ARGS, "--window=%d,0" % (1 - width))
+    assert code == 0 and out.count("| d\\i") == 1 and len(solved) == 1
+    code, out, err = run(capsys, "table", *T64_ARGS, "--window=-32000,5")
+    assert (code, out, len(solved)) == (64, "", 1)
+    assert err == "error: need a window of at most %d * (n + 12) = %d columns, got 32006\n" % (MAX_WINDOW_WIDTHS, width)
 
 
 def test_stdout_is_written_in_one_place():

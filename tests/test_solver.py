@@ -4,7 +4,9 @@ import pytest
 
 from triplets import (
     AlphaVector,
+    BettiDiagram,
     ConsistencyError,
+    HomologyTriplet,
     betti,
     build_equations,
     chi_family,
@@ -172,3 +174,29 @@ def test_family_tail_is_checked():
     assert solve_alpha(t).values == (3, -1, 0, 0)
     with pytest.raises(ConsistencyError, match="chi family does not sum to its Hilbert polynomial"):
         chi_family(t, AlphaVector(3, (0, 1), (1, -2, 0, 0)))
+
+
+def _json_pairs(t, alpha, diagram):
+    """(to_json(), json.dumps of the same dict) for a triplet, its alpha and a Betti diagram."""
+    dicts = (
+        {"n": t.n, "B": list(t.B), "H": list(t.H), "C": list(t.C)},
+        {"n": alpha.n, "support": list(alpha.support), "alpha": list(alpha.on_support())},
+        {"twists": list(diagram.twists()), "ranks": list(diagram.ranks())},
+    )
+    return [(value.to_json(), json.dumps(d)) for value, d in zip((t, alpha, diagram), dicts)]
+
+
+def test_to_json_matches_json_dumps():
+    for n in range(1, 7):
+        for t in enumerate_triplets(n):
+            a = solve_alpha(t)
+            for mine, dumped in _json_pairs(t, a, betti(t, a)):
+                assert mine == dumped
+    # Hand-built values, which nothing validates: negative entries and a 4000-digit int.
+    big = 10 ** 3999 + 7
+    t = HomologyTriplet(-big, (-1, 0), (big,), (-3,))
+    alpha = AlphaVector(3, (0, 2), (-big, 0, -5, 0))
+    diagram = BettiDiagram(((0, -2, big), (1, 3, -4)))
+    for mine, dumped in _json_pairs(t, alpha, diagram):
+        assert mine == dumped
+    assert len(alpha.to_json()) > 4000

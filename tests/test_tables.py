@@ -3,6 +3,9 @@ import json
 import pytest
 
 from triplets import (
+    AlphaVector,
+    ChiFamily,
+    ConsistencyError,
     HyperTable,
     RootSequence,
     betti,
@@ -18,9 +21,9 @@ from triplets import (
     validate_triplet,
     zip_terms,
 )
-from triplets.tables import default_window
+from triplets.tables import MAX_WINDOW_WIDTHS, default_window
 
-from oracles import corner_table, euler_failures, newton_poly, table_euler
+from oracles import cell_dict_full_table, corner_table, euler_failures, newton_poly, table_euler
 
 T64_RENDER = (
     "87 33  8  .  .  .  .   .   .  | 2\n"
@@ -226,3 +229,58 @@ def test_full_table_region_separation():
                 else:
                     assert (j <= 0 and twist >= 1) or twist <= -n - 1
             assert corner == corner_table(t, a).as_dict
+
+
+def test_full_table_matches_cell_dict_oracle(t64):
+    # Three windows per triplet: the default one, the narrowest legal one, and
+    # one whose left edge cuts every dual row (they reach column -n-6 by default).
+    for n in range(1, 7):
+        for t in enumerate_triplets(n):
+            a = solve_alpha(t)
+            fam = chi_family(t, a)
+            for window in (default_window(n), (-len(t.B) + 1, 0), (-n - 2, 2)):
+                assert full_table(t, a, window, fam) == cell_dict_full_table(t, a, window, fam)
+    # A hand-built alpha with a zero corner value: the zero is not an entry.
+    zero = AlphaVector(4, (0, 1, 2), (3, 0, 2, 0, 0))
+    fam = chi_family(t64, solve_alpha(t64))
+    assert full_table(t64, zero, fam=fam) == cell_dict_full_table(t64, zero, fam=fam)
+    assert (0, -1) not in full_table(t64, zero, fam=fam).as_dict
+
+
+def _negative_entry(t, alpha, fam, message):
+    # The first negative cell in assembly order is named, as the oracle names it.
+    for build in (full_table, cell_dict_full_table):
+        with pytest.raises(ConsistencyError) as exc:
+            build(t, alpha, fam=fam)
+        assert str(exc.value) == message
+
+
+def test_negative_corner_entry(t64):
+    a = solve_alpha(t64)
+    assert a.values == (3, -3, 2, 0, 0)
+    _negative_entry(t64, AlphaVector(4, (0, 1, 2), (3, 3, 2, 0, 0)), chi_family(t64, a),
+                    "negative corner entry at (0, -1)")
+
+
+def test_negative_homology_entry(t64):
+    # Row -1 holds chi_1(p + 1), and chi_1(d) = d - C(d + 1, 2) is 0 at d = 1, -1 at d = 2.
+    fam = ChiFamily(chi_series=((1,), (0, 1, -1)), psi_series=())
+    _negative_entry(t64, solve_alpha(t64), fam, "negative homology entry at (-1, 1)")
+
+
+def test_negative_dual_entry(t64):
+    # Row 3 holds psi_1(-1 - p) from column -2 down, and psi_1(d) = 2 - d is -1 at d = 3.
+    fam = ChiFamily(chi_series=(), psi_series=((1,), (2, -1)))
+    _negative_entry(t64, solve_alpha(t64), fam, "negative dual entry at (3, -4)")
+
+
+def test_window_bound(t64):
+    # The widest window is MAX_WINDOW_WIDTHS default widths n + 12, on either side of column 0.
+    width = MAX_WINDOW_WIDTHS * (t64.n + 12)
+    for window in ((-width + 1, 0), (-2, width - 3)):
+        assert full_table(t64, window=window).window == window
+    for window in ((-width, 0), (-2, width - 2)):
+        with pytest.raises(ValueError) as exc:
+            full_table(t64, window=window)
+        assert str(exc.value) == "need a window of at most %d * (n + 12) = %d columns, got %d" % (
+            MAX_WINDOW_WIDTHS, width, width + 1)
