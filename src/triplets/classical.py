@@ -5,9 +5,11 @@ tensor) realized as pure zip complexes.
 A root sequence r_1 > ... > r_delta with positive scale c defines the
 polynomial P(t) = (c / delta!) prod (t - r_k).  The sheaf it governs has at
 most one nonzero cohomology row per twist: row i on the open interval
-between r_{i+1} and r_i, with dimension |P(t)|.  Values are computed in
-int as c.numerator * |prod (t - r_k)| // (c.denominator * delta!), and a
-value that is not an integer raises ConsistencyError naming the fraction.
+between r_{i+1} and r_i, with dimension |P(t)|.  A table's values are
+computed over one run of twists, and a report's over its degrees: each
+call reads the scale once and computes c.numerator * |prod (t - r_k)| //
+(c.denominator * delta!) in int over the whole list.  The first value that
+is not an integer raises ConsistencyError naming the fraction.
 The family constructors choose the least scale that makes P integer-valued.
 """
 
@@ -48,36 +50,45 @@ class RootSequence:
         return len(self.roots)
 
 
-def cohomology_row(rs, twist):
-    """Row index holding the (unique) nonzero cohomology at this twist."""
-    return sum(1 for r in rs.roots if r > twist)
-
-
-def _scaled_value(rs, m, t, what):
-    """m * |P(t)| as an int; ConsistencyError when it is not one."""
-    num = m * rs.scale.numerator * abs(prod(t - r for r in rs.roots))
+def _scaled(rs, products, what):
+    """The ints c * |x| / delta! over the list of products x = m * prod (t - r);
+    ConsistencyError names the first value in list order that is not one."""
     den = rs.scale.denominator * factorial(rs.delta)
-    value, rest = divmod(num, den)
-    if rest:
+    nums = list(map(rs.scale.numerator.__mul__, map(abs, products)))
+    values = list(map(den.__rfloordiv__, nums))
+    if sum(nums) != den * sum(values):  # the remainders are >= 0, so all are 0 exactly when they sum to 0
+        num = next(x for x in nums if x % den)
         raise ConsistencyError("%s is not an integer: %s" % (what, Fraction(num, den)))
-    return value
+    return values
 
 
 def supernatural_table(rs, window=None):
     """HyperTable of the supernatural sheaf: entry(i, i + t) = |P(t)|.
 
-    The row of twist t is i = cohomology_row(rs, t) in [0, delta], so the
-    twists that reach a column of the window are lo - delta..hi.
+    The row of twist t is i = #{r > t} in [0, delta], so the twists that
+    reach a column of the window are lo - delta..hi.  As t grows, i falls by
+    one at each root and the column i + t never decreases, so the twists
+    whose column is in the window form one run; its values are scaled in
+    one call, in ascending twist order, and the entries sorted once.
     """
     if window is None:
         window = default_window(rs.delta)
     lo, hi = window
-    cells = {}
-    for t in range(lo - rs.delta, hi + 1):
-        i = cohomology_row(rs, t)
-        if lo <= i + t <= hi:
-            cells[(i, i + t)] = _scaled_value(rs, 1, t, "supernatural")
-    return HyperTable.build(window, cells)
+    roots = rs.roots
+    i = rs.delta  # roots[i - 1] is the least root above t
+    rows, twists = [], []
+    for t in range(lo - i, hi + 1):
+        while i and roots[i - 1] <= t:
+            i -= 1
+        if i + t > hi:
+            break
+        if i + t >= lo:
+            rows.append(i)
+            twists.append(t)
+    values = _scaled(rs, [prod(map(t.__sub__, roots)) for t in twists], "supernatural")
+    entries = [(i, i + t, v) for i, t, v in zip(rows, twists, values) if v]
+    entries.sort()
+    return HyperTable(tuple(window), tuple(entries))
 
 
 def _integral(roots):
@@ -109,7 +120,7 @@ def pure_zip(rs, n):
         warnings.warn("n = %d is smaller than the root count %d" % (n, rs.delta))
     negated = {-r for r in rs.roots}
     degrees = tuple(d for d in range(n + 1) if d not in negated)
-    ranks = tuple(_scaled_value(rs, comb(n, d), -d, "rank") for d in degrees)
+    ranks = tuple(_scaled(rs, [comb(n, d) * prod(map((-d).__sub__, rs.roots)) for d in degrees], "rank"))
     is_resolution = rs.delta == 0 or rs.roots[0] <= 0
     is_cm = is_resolution and (rs.delta == 0 or -n <= rs.roots[-1])
     return PureComplexReport(n, degrees, ranks, is_resolution, is_cm)

@@ -17,7 +17,6 @@ built: every value and identity is read off the integer series.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import repeat
 from math import comb
 
@@ -33,14 +32,13 @@ class AlphaVector:
     n: int
     support: tuple
     values: tuple  # length n+1, integers, zero off support
+    series: tuple = field(init=False, compare=False, repr=False)  # Newton series A_0..A_n of the Hilbert polynomial
+
+    def __post_init__(self):
+        object.__setattr__(self, "series", newton_series(self.values))
 
     def on_support(self):
         return tuple(self.values[i] for i in self.support)
-
-    @cached_property
-    def series(self):
-        """Newton series A_0..A_n of the Hilbert polynomial."""
-        return newton_series(self.values)
 
     def to_json(self):
         """The bytes json.dumps gives for {"n", "support", "alpha"}: an int list prints as JSON."""

@@ -33,11 +33,6 @@ class HyperTable:
     window: tuple  # (p_lo, p_hi) inclusive column range
     entries: tuple  # ((row j, col p, dim), ...) sorted
 
-    @classmethod
-    def build(cls, window, cells):
-        items = tuple(sorted((j, p, v) for (j, p), v in cells.items() if v))
-        return cls(tuple(window), items)
-
     def cell(self, j, p):
         return self.as_dict.get((j, p), 0)
 

@@ -4,7 +4,9 @@ plus hand-transcribed cohomology tables for the zip/Tate tests.
 
 import pytest
 
-from triplets import HyperTable, validate_triplet
+from triplets import validate_triplet
+
+from oracles import hyper_table
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -62,14 +64,14 @@ T64_CELLS = {
 
 @pytest.fixture(scope="session")
 def ip1_table():
-    return HyperTable.build((-5, 3), dict(IP1_CELLS))
+    return hyper_table((-5, 3), dict(IP1_CELLS))
 
 
 @pytest.fixture(scope="session")
 def ip1_dual_table():
-    return HyperTable.build((-5, 3), dict(IP1_DUAL_CELLS))
+    return hyper_table((-5, 3), dict(IP1_DUAL_CELLS))
 
 
 @pytest.fixture(scope="session")
 def t64_table():
-    return HyperTable.build((-5, 3), dict(T64_CELLS))
+    return hyper_table((-5, 3), dict(T64_CELLS))

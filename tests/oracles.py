@@ -17,6 +17,11 @@ from triplets.linalg import newton_series, newton_values
 from triplets.tables import default_window
 
 
+def hyper_table(window, cells):
+    """The HyperTable of a {(j, p): dim} cell dict: its nonzero cells, sorted."""
+    return HyperTable(tuple(window), tuple(sorted((j, p, v) for (j, p), v in cells.items() if v)))
+
+
 class RatPoly:
     """Dense univariate polynomial with Fraction coefficients."""
 
@@ -216,7 +221,7 @@ def corner_table(t, alpha=None):
     cells = {}
     for q, d in enumerate(t.B):
         cells[(d - q, -q)] = (-1) ** q * alpha.values[d]
-    return HyperTable.build((-len(t.B) + 1, 0), cells)
+    return hyper_table((-len(t.B) + 1, 0), cells)
 
 
 def cell_dict_full_table(t, alpha=None, window=None, fam=None):
@@ -254,7 +259,7 @@ def cell_dict_full_table(t, alpha=None, window=None, fam=None):
         for p, v in enumerate(newton_values(psi, row - t.n - last, row - t.n - lo + 1)):
             put(row, last - p, v, "dual")
 
-    return HyperTable.build(window, cells)
+    return hyper_table(window, cells)
 
 
 def table_euler(table, t, rows=None):
@@ -328,6 +333,12 @@ def supernatural_poly(rs):
     return p
 
 
+def cohomology_row(rs, twist):
+    """Row index holding the (unique) nonzero cohomology at this twist: the
+    number of roots above it, counted one by one."""
+    return sum(1 for r in rs.roots if r > twist)
+
+
 def supernatural_cells(rs, window):
     """{(i, col): |P(col - i)|} over the nonzero cells, as Fractions: every
     (row, column) pair of the window, kept where the row is the twist's
@@ -338,7 +349,7 @@ def supernatural_cells(rs, window):
     for i in range(rs.delta + 1):
         for col in range(lo, hi + 1):
             t = col - i
-            if sum(1 for r in rs.roots if r > t) != i:
+            if cohomology_row(rs, t) != i:
                 continue
             v = abs(factor * prod(t - r for r in rs.roots))
             if v:

@@ -18,10 +18,10 @@ from triplets import (
     tensor_roots,
     zip_terms,
 )
-from triplets.classical import MAX_SIZE, cohomology_row
+from triplets.classical import MAX_SIZE
 from triplets.cli import main
 
-from oracles import pure_zip_ranks, supernatural_cells, supernatural_poly
+from oracles import cohomology_row, pure_zip_ranks, supernatural_cells, supernatural_poly
 
 
 def _seeded_sequences(seed, count=150):
@@ -254,9 +254,19 @@ def test_classical_size_bound_is_inclusive():
         pure_zip(RootSequence(()), MAX_SIZE + 1)
 
 
+def _wide_sequence(delta, seed):
+    """Seeded RootSequence of delta roots in [-delta - 10, 10] with an
+    integral scale (see _seeded_sequences)."""
+    rng = random.Random(seed)
+    roots = sorted(rng.sample(range(-delta - 10, 11), delta), reverse=True)
+    g = gcd(*(prod(t - r for r in roots) for t in range(delta + 1)))
+    return RootSequence(roots, Fraction(factorial(delta) * rng.randint(1, 3), g))
+
+
 def test_supernatural_table_matches_fraction_oracle():
     rng = random.Random(8)
-    for rs, n in _seeded_sequences(81):
+    cases = _seeded_sequences(81) + [(RootSequence(()), 1), (RootSequence((), 5), 3), (_wide_sequence(40, 40), 40)]
+    for rs, n in cases:
         top, bottom = (rs.roots[0], rs.roots[-1]) if rs.delta else (0, 0)
         lo = rng.randint(bottom - 5, top + 5)
         windows = [
@@ -265,9 +275,12 @@ def test_supernatural_table_matches_fraction_oracle():
             (bottom - 2 * rs.delta - 8, bottom - rs.delta - 1),  # every twist below the roots
             (top + rs.delta + 1, top + rs.delta + 8),  # every twist above the roots
         ]
+        windows += [(r, r) for r in rs.roots]  # one column on each root
         for window in windows:
             assert supernatural_table(rs, window).as_dict == supernatural_cells(rs, window)
         assert supernatural_table(rs) == supernatural_table(rs, windows[0])
+        for window in [(lo, lo - 1), (5, -rs.delta - 6)]:  # inverted: no column, no entry
+            assert supernatural_table(rs, window).entries == () and supernatural_cells(rs, window) == {}
         report = pure_zip(rs, n)
         assert tuple(zip(report.degrees, report.ranks)) == pure_zip_ranks(rs, n)
 
@@ -275,10 +288,10 @@ def test_supernatural_table_matches_fraction_oracle():
 def test_non_integral_values_raise():
     rs = RootSequence((-1, -2), scale=Fraction(1, 3))  # P(t) = (t + 1)(t + 2) / 6
     window = (-8, 5)
-    bad = {v for v in supernatural_cells(rs, window).values() if v.denominator != 1}
-    with pytest.raises(ConsistencyError) as exc:
+    # The first value that is not an integer, in ascending twist order t = col - i.
+    first = min((col - i, v) for (i, col), v in supernatural_cells(rs, window).items() if v.denominator != 1)[1]
+    with pytest.raises(ConsistencyError, match="^supernatural is not an integer: %s$" % first):
         supernatural_table(rs, window)
-    assert str(exc.value) in {"supernatural is not an integer: %s" % v for v in bad}
     first = next(v for _, v in pure_zip_ranks(rs, 4) if v.denominator != 1)
     with pytest.raises(ConsistencyError, match="^rank is not an integer: %s$" % first):
         pure_zip(rs, 4)

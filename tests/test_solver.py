@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 
@@ -153,6 +154,18 @@ def test_bad_alpha_rejected(t64):
         dual_alpha(bad)
     with pytest.raises(ConsistencyError):
         betti(t64, bad)
+
+
+def test_alpha_series_is_set_once_and_not_compared(t64):
+    # A hand-built AlphaVector gets its Newton series when it is made; the
+    # series takes no part in equality, hash or repr.
+    a = solve_alpha(t64)
+    again = AlphaVector(a.n, a.support, a.values)
+    assert again.series == a.series == tuple(sum(v * comb(m, i) for i, v in enumerate(a.values)) for m in range(5))
+    assert again == a and hash(again) == hash((a.n, a.support, a.values))
+    assert repr(again) == "AlphaVector(n=4, support=(0, 1, 2), values=%r)" % (a.values,)
+    with pytest.raises(TypeError):
+        AlphaVector(a.n, a.support, a.values, a.series)
 
 
 def test_dual_identity_catches_a_perturbed_dual(t64):
