@@ -34,6 +34,6 @@ from .solver import (
     solve_alpha,
 )
 from .squarefree import rotated_betti_via_strands, triplet_betti
-from .tables import HyperTable, ZipTerm, full_table, render, tate_terms, zip_terms
+from .tables import HyperTable, full_table, render
 
 __version__ = "0.1.0"

@@ -1,5 +1,4 @@
-"""Hypercohomology tables and the term data of zip complexes and Tate
-resolutions.
+"""Hypercohomology tables of homology triplets.
 
 Convention: entry(j, p) = dim H^j(E(p - j)), so the column index p is the
 diagonal label printed under the source tables and the twist is t = p - j.
@@ -15,9 +14,7 @@ sorted once.  A window is at most MAX_WINDOW_WIDTHS default widths wide.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, count, repeat
-from math import comb
 from operator import itemgetter
 
 from .errors import ConsistencyError
@@ -32,18 +29,6 @@ MAX_WINDOW_WIDTHS = 4  # widest full_table window, in default widths n + 12: eve
 class HyperTable:
     window: tuple  # (p_lo, p_hi) inclusive column range
     entries: tuple  # ((row j, col p, dim), ...) sorted
-
-    def cell(self, j, p):
-        return self.as_dict.get((j, p), 0)
-
-    @cached_property
-    def as_dict(self):
-        """{(j, p): dim} over the nonzero cells."""
-        return {(j, p): v for j, p, v in self.entries}
-
-    def dim(self, j, twist):
-        """Cohomology function (j, twist) -> dim; 0 outside the window."""
-        return self.cell(j, j + twist)
 
     def rows(self):
         return sorted({j for j, _, _ in self.entries}, reverse=True)
@@ -66,13 +51,14 @@ def full_table(t, alpha=None, window=None, fam=None):
         window = default_window(t.n)
     lo, hi = window
     widest = MAX_WINDOW_WIDTHS * (t.n + 12)
-    if hi - lo + 1 > widest:  # refused before anything is solved
+    # A window is refused before anything is solved.
+    if hi - lo + 1 > widest:
         raise ValueError("need a window of at most %d * (n + 12) = %d columns, got %d"
                          % (MAX_WINDOW_WIDTHS, widest, hi - lo + 1))
-    if alpha is None:
-        alpha = solve_alpha(t)
     if lo > -len(t.B) + 1 or hi < 0:
         raise ValueError("window must contain [%d, 0]" % (-len(t.B) + 1))
+    if alpha is None:
+        alpha = solve_alpha(t)
     if fam is None:
         fam = chi_family(t, alpha)
     entries = []
@@ -106,46 +92,11 @@ def _extend_row(entries, j, cols, values, what):
     entries += filter(itemgetter(2), zip(repeat(j), cols, values))
 
 
-@dataclass(frozen=True)
-class ZipTerm:
-    p: int
-    terms: tuple  # (exterior power a, twist -a, multiplicity)
-
-    def ranks(self, n):
-        """Total rank contributions C(n, a) * multiplicity per twist."""
-        return tuple((twist, comb(n, a) * m) for a, twist, m in self.terms)
-
-
-def zip_terms(h, n, p):
-    """Terms of the zip complex of the HyperTable h in homological position p.
-
-    The term for cohomological row j is wedge^{p+j} V tensor S(-p-j) with
-    multiplicity h.dim(j, -p-j); only 0 <= p+j <= n contributes.
-    """
-    terms = []
-    for a in range(n + 1):
-        m = h.dim(a - p, -a)
-        if m:
-            terms.append((a, -a, m))
-    return ZipTerm(p, tuple(terms))
-
-
-def tate_terms(h, p):
-    """Multiset of (generator twist j - p, multiplicity h.dim(j, p - j)) at
-    column p of the HyperTable h, rows descending."""
-    out = []
-    for j in h.rows():
-        m = h.dim(j, p - j)
-        if m:
-            out.append((j - p, m))
-    return tuple(out)
-
-
 def render(table):
     """Plain-text grid in the style of the source tables; '.' marks zero."""
     lo, hi = table.window
     cols = list(range(lo, hi + 1))
-    cells = table.as_dict
+    cells = {(j, p): v for j, p, v in table.entries}
     rows = table.rows()
     if rows:
         rows = list(range(max(rows), min(rows) - 1, -1))

@@ -4,7 +4,8 @@ against.  They are slow on purpose: plain RatPoly arithmetic, no shortcuts.
 The library holds every polynomial as an integer Newton series; the exact
 Fraction polynomials, the basis P_{n,i}, the K-polynomial layer and the
 polynomial forms of the supernatural and corner data live here, with a
-Fraction (row, column) double loop for supernatural tables and zip ranks.
+Fraction (row, column) double loop for supernatural tables and zip ranks,
+and the zip and Tate terms read off a table's cells.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,11 @@ from triplets.tables import default_window
 def hyper_table(window, cells):
     """The HyperTable of a {(j, p): dim} cell dict: its nonzero cells, sorted."""
     return HyperTable(tuple(window), tuple(sorted((j, p, v) for (j, p), v in cells.items() if v)))
+
+
+def cells(table):
+    """The {(j, p): dim} cell dict of a HyperTable's nonzero cells: the inverse of hyper_table."""
+    return {(j, p): v for j, p, v in table.entries}
 
 
 class RatPoly:
@@ -224,6 +230,43 @@ def corner_table(t, alpha=None):
     return hyper_table((-len(t.B) + 1, 0), cells)
 
 
+@dataclass(frozen=True)
+class ZipTerm:
+    p: int
+    terms: tuple  # (exterior power a, twist -a, multiplicity)
+
+    def ranks(self, n):
+        """Total rank contributions C(n, a) * multiplicity per twist."""
+        return tuple((twist, comb(n, a) * m) for a, twist, m in self.terms)
+
+
+def zip_terms(h, n, p):
+    """Terms of the zip complex of the HyperTable h in homological position p.
+
+    The term for cohomological row j is wedge^{p+j} V tensor S(-p-j) with
+    multiplicity dim H^j(E(-p-j)), the cell (j, -p); only 0 <= p+j <= n contributes.
+    """
+    dims = cells(h)
+    terms = []
+    for a in range(n + 1):
+        m = dims.get((a - p, -p), 0)
+        if m:
+            terms.append((a, -a, m))
+    return ZipTerm(p, tuple(terms))
+
+
+def tate_terms(h, p):
+    """Multiset of (generator twist j - p, multiplicity of cell (j, p)) at
+    column p of the HyperTable h, rows descending."""
+    dims = cells(h)
+    out = []
+    for j in h.rows():
+        m = dims.get((j, p), 0)
+        if m:
+            out.append((j - p, m))
+    return tuple(out)
+
+
 def cell_dict_full_table(t, alpha=None, window=None, fam=None):
     """`full_table` assembled through a cell dict: every cell is checked for
     sign as it is put, then the nonzero cells are sorted into entries."""
@@ -266,8 +309,8 @@ def table_euler(table, t, rows=None):
     """sum_j (-1)^j entry(j, j + t) over the given rows (default: every row of the table)."""
     if rows is None:
         rows = [j for j, _, _ in table.entries]
-    cells = table.as_dict
-    return sum((-1 if j % 2 else 1) * cells.get((j, j + t), 0) for j in set(rows))
+    dims = cells(table)
+    return sum((-1 if j % 2 else 1) * dims.get((j, j + t), 0) for j in set(rows))
 
 
 def newton_value(a, d):

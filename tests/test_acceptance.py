@@ -13,7 +13,6 @@ from math import comb
 
 from triplets import (
     DegenerateSystem,
-    HyperTable,
     betti,
     buchsbaum_rim,
     chi_family,
@@ -25,7 +24,6 @@ from triplets import (
     solve_alpha,
     triplet_betti,
     validate_triplet,
-    zip_terms,
 )
 from triplets.linalg import newton_values, row_echelon
 from triplets.squarefree import rotated_betti_via_strands
@@ -34,11 +32,13 @@ from oracles import (
     RatPoly,
     _naive_nullspace,
     alternating_sum,
+    cells,
     euler_failures,
     from_basis,
     in_basis,
     int_rows,
     newton_poly,
+    zip_terms,
 )
 
 RESULT_LINES = []
@@ -88,10 +88,11 @@ def test_criterion_2_table(t64, t64_table):
     tab = full_table(t64, window=(-5, 3))
     assert tab == t64_table
     assert tab.rows() == [2, 0, -1, -2]
-    assert [tab.cell(2, p) for p in (-5, -4, -3)] == [87, 33, 8]
-    assert [tab.cell(0, p) for p in range(-2, 4)] == [2, 3, 3, 3, 3, 3]
-    assert [tab.cell(-1, p) for p in range(0, 4)] == [1, 3, 6, 10]
-    assert [tab.cell(-2, p) for p in range(-1, 4)] == [3, 15, 45, 105, 210]
+    dims = cells(tab)
+    assert [dims.get((2, p), 0) for p in (-5, -4, -3)] == [87, 33, 8]
+    assert [dims.get((0, p), 0) for p in range(-2, 4)] == [2, 3, 3, 3, 3, 3]
+    assert [dims.get((-1, p), 0) for p in range(0, 4)] == [1, 3, 6, 10]
+    assert [dims.get((-2, p), 0) for p in range(-1, 4)] == [3, 15, 45, 105, 210]
 
 
 @_report(3, "n=3 example: displayed complex triplet and its rotation")
@@ -185,7 +186,14 @@ def test_criterion_6_property_sweep():
         assert tab.window[0] - min(rows) <= -2 * t.n
         assert tab.window[1] - max(rows) >= t.n
         assert euler_failures(tab, t, a) == []
-        records.update(census_record(t, a, diagram, full_table(t, a, fam=fam)).encode())
+        table = full_table(t, a, fam=fam)
+        records.update(census_record(t, a, diagram, table).encode())
+        # The zip of the table gives back the pure complex: at position q the
+        # one term S(-d_q)^beta_q, and nothing at any other position in the window.
+        zipped = {q: ((-d, rank),) for q, d, rank in diagram.entries}
+        lo, hi = table.window
+        for p in range(-hi, -lo + 1):
+            assert zip_terms(table, t.n, p).ranks(t.n) == zipped.get(p, ()), (t, p)
 
         # Soft positivity check on the homology polynomials.
         for q, chi in enumerate(fam.chi_series):

@@ -16,12 +16,11 @@ from triplets import (
     schur_roots,
     supernatural_table,
     tensor_roots,
-    zip_terms,
 )
 from triplets.classical import MAX_SIZE
 from triplets.cli import main
 
-from oracles import cohomology_row, pure_zip_ranks, supernatural_cells, supernatural_poly
+from oracles import cells, cohomology_row, pure_zip_ranks, supernatural_cells, supernatural_poly, zip_terms
 
 
 def _seeded_sequences(seed, count=150):
@@ -79,8 +78,10 @@ def test_supernatural_poly():
     assert [p(t) for t in (0, 1, -1, -3)] == [2, 6, 0, 2]
     # The library's int-product values agree with the polynomial.
     tab = supernatural_table(rs, window=(-8, 4))
+    dims = cells(tab)
     for t in range(-6, 3):
-        assert tab.dim(cohomology_row(rs, t), t) == abs(p(t))
+        i = cohomology_row(rs, t)
+        assert dims.get((i, i + t), 0) == abs(p(t))
     report = pure_zip(rs, 5)
     assert report.ranks == tuple(comb(5, d) * abs(p(-d)) for d in report.degrees)
 
@@ -277,7 +278,7 @@ def test_supernatural_table_matches_fraction_oracle():
         ]
         windows += [(r, r) for r in rs.roots]  # one column on each root
         for window in windows:
-            assert supernatural_table(rs, window).as_dict == supernatural_cells(rs, window)
+            assert cells(supernatural_table(rs, window)) == supernatural_cells(rs, window)
         assert supernatural_table(rs) == supernatural_table(rs, windows[0])
         for window in [(lo, lo - 1), (5, -rs.delta - 6)]:  # inverted: no column, no entry
             assert supernatural_table(rs, window).entries == () and supernatural_cells(rs, window) == {}
@@ -320,9 +321,10 @@ def test_triplet_tables_are_supernatural_iff_no_spans():
             table = full_table(t)
             roots = sorted((-d for d in range(n + 1) if d not in t.B), reverse=True)
             sup = supernatural_table(RootSequence(roots, factorial(len(roots))), window=table.window)
-            same = table.as_dict.keys() == sup.as_dict.keys()
+            sup_dims = cells(sup)
+            same = cells(table).keys() == sup_dims.keys()
             if same:
-                ratios = {Fraction(v, sup.cell(j, p)) for j, p, v in table.entries}
+                ratios = {Fraction(v, sup_dims[j, p]) for j, p, v in table.entries}
                 same = len(ratios) == 1 and min(ratios) > 0
             assert same == (t.s_H == t.s_C == 0), t
             matched += same

@@ -7,7 +7,6 @@ from triplets import (
     ChiFamily,
     ConsistencyError,
     RootSequence,
-    betti,
     chi_family,
     enumerate_triplets,
     full_table,
@@ -16,13 +15,21 @@ from triplets import (
     schur_roots,
     solve_alpha,
     supernatural_table,
-    tate_terms,
     validate_triplet,
-    zip_terms,
 )
 from triplets.tables import MAX_WINDOW_WIDTHS, default_window
 
-from oracles import cell_dict_full_table, corner_table, euler_failures, hyper_table, newton_poly, table_euler
+from oracles import (
+    cell_dict_full_table,
+    cells,
+    corner_table,
+    euler_failures,
+    hyper_table,
+    newton_poly,
+    table_euler,
+    tate_terms,
+    zip_terms,
+)
 
 T64_RENDER = (
     "87 33  8  .  .  .  .   .   .  | 2\n"
@@ -58,10 +65,11 @@ def test_full_table_matches_transcription_t42(t42, ip1_table):
 
 
 def test_hypertable_accessors(t64_table):
-    assert t64_table.cell(2, -4) == 33
-    assert t64_table.cell(1, 0) == 0
-    assert t64_table.dim(0, -1) == 3  # row 0, twist -1 -> column -1
-    assert t64_table.dim(2, -7) == 87  # row 2, twist -7 -> column -5
+    dims = cells(t64_table)
+    assert dims[2, -4] == 33
+    assert (1, 0) not in dims
+    assert dims[0, -1] == 3  # row 0, twist -1 -> column -1
+    assert dims[2, -5] == 87  # row 2, twist -7 -> column -5
     assert t64_table.rows() == [2, 0, -1, -2]
 
 
@@ -107,9 +115,9 @@ def test_euler_method(t64, t64_table):
 
 
 def _bump(table, j, p):
-    cells = dict(table.as_dict)
-    cells[(j, p)] = cells.get((j, p), 0) + 1
-    return hyper_table(table.window, cells)
+    dims = cells(table)
+    dims[j, p] = dims.get((j, p), 0) + 1
+    return hyper_table(table.window, dims)
 
 
 def test_euler_check_names_the_tampered_twist():
@@ -185,16 +193,6 @@ def test_zip_terms_single_cell():
         assert zip_terms(h, 3, p).terms == ()
 
 
-def test_zip_of_corner_reproduces_betti():
-    for n in range(1, 5):
-        for t in enumerate_triplets(n):
-            a = solve_alpha(t)
-            diagram = betti(t, a)
-            tab = corner_table(t, a)
-            for q, d, rank in diagram.entries:
-                assert zip_terms(tab, n, q).ranks(n) == ((-d, rank),)
-
-
 def test_tate_terms(ip1_table, t64, t64_table):
     assert tate_terms(ip1_table, -2) == ((4, 1), (3, 1))
     assert tate_terms(t64_table, -3) == ((5, 8),)
@@ -227,7 +225,7 @@ def test_full_table_region_separation():
                     corner[j, p] = v
                 else:
                     assert (j <= 0 and twist >= 1) or twist <= -n - 1
-            assert corner == corner_table(t, a).as_dict
+            assert corner == cells(corner_table(t, a))
 
 
 def test_full_table_matches_cell_dict_oracle(t64):
@@ -243,7 +241,7 @@ def test_full_table_matches_cell_dict_oracle(t64):
     zero = AlphaVector(4, (0, 1, 2), (3, 0, 2, 0, 0))
     fam = chi_family(t64, solve_alpha(t64))
     assert full_table(t64, zero, fam=fam) == cell_dict_full_table(t64, zero, fam=fam)
-    assert (0, -1) not in full_table(t64, zero, fam=fam).as_dict
+    assert (0, -1) not in cells(full_table(t64, zero, fam=fam))
 
 
 def _negative_entry(t, alpha, fam, message):
@@ -271,6 +269,13 @@ def test_negative_dual_entry(t64):
     # Row 3 holds psi_1(-1 - p) from column -2 down, and psi_1(d) = 2 - d is -1 at d = 3.
     fam = ChiFamily(chi_series=(), psi_series=((1,), (2, -1)))
     _negative_entry(t64, solve_alpha(t64), fam, "negative dual entry at (3, -4)")
+
+
+def test_window_containment_is_checked_before_the_solve():
+    # n = 101 is past the solve bound, so only a check made before the solve reaches its own message.
+    t = validate_triplet(101, range(102), [0], [0])
+    with pytest.raises(ValueError, match=r"^window must contain \[-101, 0\]$"):
+        full_table(t, window=(0, 1))
 
 
 def test_window_bound(t64):
