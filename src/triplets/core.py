@@ -14,8 +14,13 @@ A triplet is checked once, where it enters: by `validate_triplet`, where
 `enumerate_triplets`, `rotate()` and `dual()` build triplets valid by
 construction or by theorem; the tests check them against `validate_triplet`.
 
-`enumerate_triplets` is a lazy iterator in lexicographic (B, H, C) order:
-it walks the candidate subsets in that order and holds nothing but them.
+`enumerate_triplets` is a lazy iterator in lexicographic (B, H, C) order.
+It walks the candidate subsets in that order, each packed with its
+reflection as prefix counts in one int, so a balance test is one guarded
+subtraction and never calls `balanced`.  For each B, and for each H of an
+h group, it keeps a bitmask of the C of each shape that balance with it,
+and yields the set bits of their meet.  It holds the candidates and those
+per-shape masks, and nothing after it ends.
 """
 
 import json
@@ -129,14 +134,52 @@ def validate_triplet(n, B, H, C):
     return t
 
 
-def _candidates(n):
-    """(X, span, refl X) for every nonempty subset X of [0, n], grouped by
-    min X, each group in lexicographic order (preorder of the increasing
-    sequences)."""
+def _packing(n):
+    """(k, G, T) for packed prefix counts over [0, n].
+
+    A subset X of [0, n] packs into one int whose field u, k bits wide,
+    holds #(X cap [0, u]).  G has the top bit of every field set; field u of
+    T[lo] is u - lo + 2 for u >= lo, else 0.  For X, Y inside [lo, n] the
+    pair is balanced over [lo, n] exactly when every field of X + Y reaches
+    that of T[lo]: a field sum is at most 2n + 2 < 2^(k-1), so the guarded
+    subtraction in `_balanced_bits` lets no carry or borrow cross a field.
+    """
+    k = (2 * n + 3).bit_length() + 1
+    G = sum(1 << (k * u + k - 1) for u in range(n + 1))
+    T = tuple(sum((u - lo + 2) << (k * u) for u in range(lo, n + 1)) for lo in range(n + 1))
+    return k, G, T
+
+
+def _pack(X, n, k):
+    """The prefix counts #(X cap [0, u]), u = 0..n, packed k bits a field."""
+    members = set(X)
+    packed = count = 0
+    for u in range(n + 1):
+        count += u in members
+        packed |= count << (k * u)
+    return packed
+
+
+def _balanced_bits(px, pys, G, T_lo):
+    """Bitmask of the i with (X, Y_i) balanced over [lo, n], from packed X
+    and packed Y_i, all inside [lo, n]."""
+    mask = 0
+    bit = 1
+    for py in pys:
+        if (((px + py) | G) - T_lo) & G == G:
+            mask |= bit
+        bit <<= 1
+    return mask
+
+
+def _candidates(n, k):
+    """(X, span, packed X, packed refl X) for every nonempty subset X of
+    [0, n], grouped by min X, each group in lexicographic order (preorder of
+    the increasing sequences)."""
     out = [[] for _ in range(n + 1)]
 
     def extend(ms):
-        out[ms[0]].append((ms, (ms[-1] - ms[0] + 1) - len(ms), reflect(ms, n)))
+        out[ms[0]].append((ms, (ms[-1] - ms[0] + 1) - len(ms), _pack(ms, n, k), _pack(reflect(ms, n), n, k)))
         for x in range(ms[-1] + 1, n + 1):
             extend(ms + (x,))
 
@@ -147,8 +190,9 @@ def _candidates(n):
 
 def enumerate_triplets(n):
     """Lazy iterator over all homology triplets of type n, in lexicographic
-    (B, H, C) order; memory is bounded by the 2^(n+1) - 1 candidate sets.
-    Each triplet is built valid by construction, not re-validated."""
+    (B, H, C) order; memory is bounded by the 2^(n+1) - 1 candidate subsets
+    plus per-shape masks.  Each triplet is built valid by construction, not
+    re-validated."""
     env = os.environ.get(MAX_N_ENV, DEFAULT_MAX_N)
     try:
         max_n = int(env)
@@ -162,23 +206,46 @@ def enumerate_triplets(n):
 
 
 def _enumerate(n):
-    cands = _candidates(n)
-    # C candidates by (min, max, span): min C = c, max C = n - b, span s_C.
-    by_shape = {}
+    k, G, T = _packing(n)
+    cands = _candidates(n, k)
+    # C candidates by shape (min, max, span): min C = c, max C = n - b, span s_C.
+    grouped = {}
     for group in cands:
-        for C, s_c, refl_c in group:
-            by_shape.setdefault((C[0], C[-1], s_c), []).append((C, refl_c))
+        for C, s_c, pc, prc in group:
+            grouped.setdefault((C[0], C[-1], s_c), []).append((C, pc, prc))
+    shapes = {key: tuple(zip(*Cs)) for key, Cs in grouped.items()}
+    # Valid by construction: B, H share min h; the C shape key fixes min C = c,
+    # max C = max H and the count; all three balances are tested, each pair
+    # over [min, n], where counting from 0 equals counting from the min.
     for h, group in enumerate(cands):
-        for B, i_b, refl_b in group:
+        packed = [ph for _, _, ph, _ in group]
+        hc_masks = {}  # (H index, shape) -> C with (refl H, refl C) balanced
+        for B, i_b, pb, prb in group:
             c = n - B[-1]
             rem = n - h - c - i_b  # = b + s_H + s_C
-            for H, s_h, refl_h in group:
+            bc_masks = {}  # shape -> C with (refl B, C) balanced
+            bh = _balanced_bits(pb, packed, G, T[h])
+            while bh:  # each set bit, lowest first, keeps the order lexicographic
+                low = bh & -bh
+                bh ^= low
+                j = low.bit_length() - 1
+                H, s_h, _, prh = group[j]
                 b = n - H[-1]
-                Cs = by_shape.get((c, H[-1], rem - b - s_h))
-                if not Cs or not balanced(h, n, B, H):
+                key = (c, H[-1], rem - b - s_h)
+                shape = shapes.get(key)
+                if shape is None:
                     continue
-                # Valid by construction: B, H share min h; the C shape key fixes
-                # min C = c, max C = max H and the count; all three balances are tested.
-                for C, refl_c in Cs:
-                    if balanced(c, n, refl_b, C) and balanced(b, n, refl_h, refl_c):
-                        yield HomologyTriplet(n, B, H, C)
+                Cs, pcs, prcs = shape
+                m1 = bc_masks.get(key)
+                if m1 is None:
+                    m1 = bc_masks[key] = _balanced_bits(prb, pcs, G, T[c])
+                if not m1:
+                    continue
+                m2 = hc_masks.get((j, key))
+                if m2 is None:
+                    m2 = hc_masks[j, key] = _balanced_bits(prh, prcs, G, T[b])
+                m = m1 & m2
+                while m:
+                    low = m & -m
+                    m ^= low
+                    yield HomologyTriplet(n, B, H, Cs[low.bit_length() - 1])

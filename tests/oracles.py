@@ -13,7 +13,19 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm, prod
 
-from triplets import BettiDiagram, ConsistencyError, HyperTable, betti, chi_family, dual_alpha, solve_alpha, strand_starts
+from triplets import (
+    BettiDiagram,
+    ConsistencyError,
+    HomologyTriplet,
+    HyperTable,
+    balanced,
+    betti,
+    chi_family,
+    dual_alpha,
+    reflect,
+    solve_alpha,
+    strand_starts,
+)
 from triplets.linalg import newton_series, newton_values
 from triplets.tables import default_window
 
@@ -421,6 +433,38 @@ def balanced_by_strand_starts(lo, hi, X, Y):
     if len(d) < s + 1:
         return False
     return all(y[i] > d[i] for i in range(1, s + 1))
+
+
+def balanced_enumeration(n):
+    """The type-n triplets in lexicographic (B, H, C) order, by the tuple
+    predicate `balanced` on every (B, H) pair and every C of its shape: the
+    reference for the library's packed enumeration."""
+    cands = [[] for _ in range(n + 1)]
+
+    def extend(ms):
+        cands[ms[0]].append((ms, (ms[-1] - ms[0] + 1) - len(ms), reflect(ms, n)))
+        for x in range(ms[-1] + 1, n + 1):
+            extend(ms + (x,))
+
+    for lo in range(n + 1):
+        extend((lo,))
+    # C candidates by (min, max, span): min C = c, max C = n - b, span s_C.
+    by_shape = {}
+    for group in cands:
+        for C, s_c, refl_c in group:
+            by_shape.setdefault((C[0], C[-1], s_c), []).append((C, refl_c))
+    for h, group in enumerate(cands):
+        for B, i_b, refl_b in group:
+            c = n - B[-1]
+            rem = n - h - c - i_b  # = b + s_H + s_C
+            for H, s_h, refl_h in group:
+                b = n - H[-1]
+                Cs = by_shape.get((c, H[-1], rem - b - s_h))
+                if not Cs or not balanced(h, n, B, H):
+                    continue
+                for C, refl_c in Cs:
+                    if balanced(c, n, refl_b, C) and balanced(b, n, refl_h, refl_c):
+                        yield HomologyTriplet(n, B, H, C)
 
 
 def betti_kpolynomial(diagram):

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from oracles import balanced_enumeration
 from triplets import (
     HomologyTriplet,
     TripletError,
@@ -190,3 +191,52 @@ def test_balance_holds_on_all_three_pairs():
         assert balanced(t.h, n, t.B, t.H)
         assert balanced(t.c, n, reflect(t.B, n), t.C)
         assert balanced(t.b, n, reflect(t.H, n), reflect(t.C, n))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumerate_matches_balanced_oracle(n):
+    # The packed enumeration against the per-C `balanced` calls it replaced,
+    # triplet for triplet and in order.
+    assert list(enumerate_triplets(n)) == list(balanced_enumeration(n))
+
+
+def _packed_agrees(lo, n, Xs, Ys):
+    """Whether the packed check of every (X, Y) over [lo, n] equals `balanced`."""
+    k, G, T = core._packing(n)
+    pys = [core._pack(Y, n, k) for Y in Ys]
+    for X in Xs:
+        mask = core._balanced_bits(core._pack(X, n, k), pys, G, T[lo])
+        if [mask >> i & 1 == 1 for i in range(len(Ys))] != [balanced(lo, n, X, Y) for Y in Ys]:
+            return False
+    return True
+
+
+def test_packed_balance_agrees_bulk():
+    # Every pair of nonempty subsets of [lo, 7], lo = 0..7: the pairs
+    # test_balanced_criteria_agree_bulk walks.
+    for lo in range(8):
+        sets = [ms for r in range(1, 9 - lo) for ms in itertools.combinations(range(lo, 8), r)]
+        assert _packed_agrees(lo, 7, sets, sets), lo
+
+
+def test_packed_balance_at_extreme_field_sums():
+    # X = Y = [0, n] puts 2u + 2 in field u, 2n + 2 at the top, the largest
+    # sum a field holds.  X = {0} + [u0 + 1, n] and Y = [0, n] minus u0 tie
+    # at u0 alone (1 + u0 = u0 + 1) and pass every other u, sums up to 2n + 1 - u0.
+    for n in range(1, 41):
+        full = tuple(range(n + 1))
+        assert balanced(0, n, full, full)
+        assert _packed_agrees(0, n, [full], [full])
+        for u0 in range(1, n + 1):
+            X = (0,) + tuple(range(u0 + 1, n + 1))
+            Y = tuple(u for u in full if u != u0)
+            assert not balanced(0, n, X, Y)
+            assert _packed_agrees(0, n, [X, Y, full], [X, Y, full]), (n, u0)
+
+
+def test_enumerate_leaves_the_balance_cache_alone():
+    # Enumeration tests balance on packed ints; only validate_triplet fills
+    # the bounded cache of `balanced`.
+    before = balanced.cache_info().currsize
+    assert len(list(enumerate_triplets(6))) == 4609
+    assert balanced.cache_info().currsize == before
