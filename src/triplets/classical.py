@@ -14,9 +14,9 @@ The family constructors choose the least scale that makes P integer-valued.
 """
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, inf, prod
 
 from .errors import ConsistencyError
 from .tables import HyperTable, default_window
@@ -29,21 +29,33 @@ def _bounded(what, size):
         raise ValueError("need %s %s, got %s" % (what, ">= 0" if size < 0 else "<= %d" % MAX_SIZE, size))
 
 
-@dataclass(frozen=True)
-class RootSequence:
-    roots: tuple  # strictly decreasing integers
-    scale: Fraction = Fraction(1)
+class RootSequence(namedtuple("RootSequence", "roots scale")):
+    """Strictly decreasing integer roots and a positive Fraction scale,
+    coerced and checked when the sequence is made, by _replace too."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "roots", tuple(self.roots))
-        object.__setattr__(self, "scale", Fraction(self.scale))
-        if not all(type(r) is int for r in self.roots):  # a bool is refused too
-            raise ValueError("roots must be integers: %r" % (self.roots,))
-        if any(b >= a for a, b in zip(self.roots, self.roots[1:])):
-            raise ValueError("roots must be strictly decreasing: %r" % (self.roots,))
-        _bounded("root count", self.delta)
-        if self.scale <= 0:
+    __slots__ = ()
+
+    def __new__(cls, roots, scale=Fraction(1)):
+        roots = tuple(roots)
+        if type(scale) is not Fraction:
+            scale = Fraction(scale)
+        decreasing = True
+        prev = inf
+        for r in roots:
+            if type(r) is not int:  # a bool is refused too
+                raise ValueError("roots must be integers: %r" % (roots,))
+            if r >= prev:
+                decreasing = False  # reported once every root is known to be an int
+            prev = r
+        if not decreasing:
+            raise ValueError("roots must be strictly decreasing: %r" % (roots,))
+        _bounded("root count", len(roots))
+        if scale.numerator <= 0:
             raise ValueError("scale must be positive")
+        return tuple.__new__(cls, (roots, scale))
+
+    # namedtuple's _make, which _replace calls, skips __new__: route it through.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def delta(self):
@@ -99,13 +111,8 @@ def _integral(roots):
     return RootSequence(roots, Fraction(factorial(len(roots)), g))
 
 
-@dataclass(frozen=True)
-class PureComplexReport:
-    n: int
-    degrees: tuple
-    ranks: tuple
-    is_resolution: bool
-    is_cm: bool
+class PureComplexReport(namedtuple("PureComplexReport", "n degrees ranks is_resolution is_cm")):
+    __slots__ = ()
 
 
 def pure_zip(rs, n):

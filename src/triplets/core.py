@@ -25,7 +25,7 @@ per-shape masks, and nothing after it ends.
 
 import json
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .degsets import balanced, reflect
 from .errors import TripletError
@@ -34,12 +34,10 @@ MAX_N_ENV = "TRIPLETS_MAX_N"
 DEFAULT_MAX_N = 9
 
 
-@dataclass(frozen=True)
-class HomologyTriplet:
-    n: int
-    B: tuple
-    H: tuple
-    C: tuple
+class HomologyTriplet(namedtuple("HomologyTriplet", "n B H C")):
+    """A triplet as the tuple (n, B, H, C) of an int and three sorted int tuples."""
+
+    __slots__ = ()
 
     # -- derived invariants ------------------------------------------------
     @property
@@ -67,14 +65,17 @@ class HomologyTriplet:
         return (self.n - self.b - self.c + 1) - len(self.C)
 
     def rotate(self):
-        return HomologyTriplet(self.n, reflect(self.H, self.n), reflect(self.C, self.n), self.B)
+        n, B, H, C = self
+        return HomologyTriplet(n, reflect(H, n), reflect(C, n), B)
 
     def dual(self):
-        return HomologyTriplet(self.n, reflect(self.B, self.n), self.C, self.H)
+        n, B, H, C = self
+        return HomologyTriplet(n, reflect(B, n), C, H)
 
     def to_json(self):
         """The bytes json.dumps gives for {"n", "B", "H", "C"}: an int list prints as JSON."""
-        return '{"n": %d, "B": %s, "H": %s, "C": %s}' % (self.n, list(self.B), list(self.H), list(self.C))
+        n, B, H, C = self
+        return '{"n": %d, "B": %s, "H": %s, "C": %s}' % (n, list(B), list(H), list(C))
 
     @classmethod
     def from_json(cls, line):
@@ -102,7 +103,8 @@ def validate_triplet(n, B, H, C):
     if type(n) is not int or any(type(x) is not int for ms in sets for x in ms):
         raise TripletError("interval", "n, B, H, C must be integers: %r" % ((n, *sets),))
     t = HomologyTriplet(n, *(tuple(sorted(ms)) for ms in sets))
-    for name, ms in zip("BHC", (t.B, t.H, t.C)):
+    _, B, H, C = t
+    for name, ms in zip("BHC", (B, H, C)):
         if not ms:
             raise TripletError("interval", "%s is empty" % name)
         if len(set(ms)) != len(ms):  # ms is sorted, so only a repeat can break it
@@ -111,12 +113,12 @@ def validate_triplet(n, B, H, C):
             raise TripletError("interval", "%s = %r not within [0, %s]" % (name, ms, n))
 
     h, c, b = t.h, t.c, t.b
-    if t.B[0] != h:
-        raise TripletError("endpoints", "min B = %s but min H = %s" % (t.B[0], h))
-    if t.B[-1] != n - c:
-        raise TripletError("endpoints", "max B = %s but n - min C = %s" % (t.B[-1], n - c))
-    if t.C[-1] != n - b:
-        raise TripletError("endpoints", "max C = %s but max H = %s" % (t.C[-1], t.H[-1]))
+    if B[0] != h:
+        raise TripletError("endpoints", "min B = %s but min H = %s" % (B[0], h))
+    if B[-1] != n - c:
+        raise TripletError("endpoints", "max B = %s but n - min C = %s" % (B[-1], n - c))
+    if C[-1] != n - b:
+        raise TripletError("endpoints", "max C = %s but max H = %s" % (C[-1], H[-1]))
     # With the endpoints fixed, containment of H and C in their intervals
     # reduces to c <= n - b which max C already guarantees.
 
@@ -125,11 +127,11 @@ def validate_triplet(n, B, H, C):
         terms = "+".join(map(str, (b, h, c, i_b, s_h, s_c)))
         raise TripletError("count", "n = %s but b+h+c+i_B+s_H+s_C = %s" % (n, terms))
 
-    if not balanced(h, n, t.B, t.H):
+    if not balanced(h, n, B, H):
         raise TripletError("balanced_BH", "(B, H) not balanced over [%s, %s]" % (h, n))
-    if not balanced(c, n, reflect(t.B, n), t.C):
+    if not balanced(c, n, reflect(B, n), C):
         raise TripletError("balanced_BC", "(refl B, C) not balanced over [%s, %s]" % (c, n))
-    if not balanced(b, n, reflect(t.H, n), reflect(t.C, n)):
+    if not balanced(b, n, reflect(H, n), reflect(C, n)):
         raise TripletError("balanced_HC", "(refl H, refl C) not balanced over [%s, %s]" % (b, n))
     return t
 

@@ -16,7 +16,7 @@ validated tuples H over [h, n-b] and C over [c, n-b].  No polynomial is
 built: every value and identity is read off the integer series.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import repeat
 from math import comb
 
@@ -27,33 +27,46 @@ from .linalg import newton_series, nullspace
 MAX_N = 100  # largest n solved: the slowest shape found takes about 0.8 s at n = 100 and grows about as n^7
 
 
-@dataclass(frozen=True)
-class AlphaVector:
-    n: int
-    support: tuple
-    values: tuple  # length n+1, integers, zero off support
-    series: tuple = field(init=False, compare=False, repr=False)  # Newton series A_0..A_n of the Hilbert polynomial
+class AlphaVector(namedtuple("AlphaVector", "n support values")):
+    """alpha as (n, support, values), values of length n + 1, integers, zero
+    off the support.  `series`, the Newton series A_0..A_n of the Hilbert
+    polynomial, is set once when the vector is made and takes no part in
+    equality, hash or repr."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "series", newton_series(self.values))
+    def __new__(cls, n, support, values):
+        self = tuple.__new__(cls, (n, support, values))
+        self.__dict__["series"] = newton_series(values)
+        return self
+
+    # namedtuple's _make, which _replace calls, skips __new__: route it through.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AlphaVector is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("AlphaVector is immutable")
 
     def on_support(self):
-        return tuple(self.values[i] for i in self.support)
+        _, support, values = self
+        return tuple(values[i] for i in support)
 
     def to_json(self):
         """The bytes json.dumps gives for {"n", "support", "alpha"}: an int list prints as JSON."""
-        return '{"n": %d, "support": %s, "alpha": %s}' % (self.n, list(self.support), list(self.on_support()))
+        n, support, values = self
+        return '{"n": %d, "support": %s, "alpha": %s}' % (n, list(support), [values[i] for i in support])
 
 
 def build_equations(t):
-    hset = set(t.H)
-    cset = set(t.C)
-    refl = [t.n - i for i in t.B]
+    n, B, H, C = t
+    hset = set(H)
+    cset = set(C)
+    refl = [n - i for i in B]
     rows = []
-    for r in range(t.h, t.n + 1):
+    for r in range(H[0], n + 1):
         if r not in hset:
-            rows.append(tuple(map(comb, repeat(r), t.B)))
-    for r in range(t.c, t.n - t.b + 1):
+            rows.append(tuple(map(comb, repeat(r), B)))
+    for r in range(C[0], H[-1] + 1):  # n - b = max H
         if r not in cset:
             rows.append(tuple(map(comb, repeat(r), refl)))
     return tuple(rows)
@@ -61,9 +74,10 @@ def build_equations(t):
 
 def solve_alpha(t):
     """Primitive integer alpha with alpha_{d_0} > 0; unique up to scale."""
-    if t.n > MAX_N:
-        raise ValueError("need n <= %d to solve, got %s" % (MAX_N, t.n))
-    basis = nullspace(build_equations(t), len(t.B))
+    n, B, H, _ = t
+    if n > MAX_N:
+        raise ValueError("need n <= %d to solve, got %s" % (MAX_N, n))
+    basis = nullspace(build_equations(t), len(B))
     if not basis:
         raise Overdetermined(t)
     if len(basis) > 1:
@@ -71,41 +85,41 @@ def solve_alpha(t):
     prim = basis[0]  # primitive already; a zero alpha_{d_0} fails the sign check below
     if prim[0] < 0:
         prim = [-x for x in prim]
-    values = [0] * (t.n + 1)
-    for i, v in zip(t.B, prim):
+    values = [0] * (n + 1)
+    for i, v in zip(B, prim):
         values[i] = v
-    alpha = AlphaVector(t.n, t.B, tuple(values))
-    for q, d in enumerate(t.B):
+    alpha = AlphaVector(n, B, tuple(values))
+    for q, d in enumerate(B):
         if (-values[d] if q % 2 else values[d]) <= 0:
             raise ConsistencyError("sign convention violated at q=%d for %r" % (q, t))
-    # Degree exactly n - b: A_{n-j} = 0 for j < b and A_{n-b} != 0.
-    top = t.n - t.b
-    if not alpha.series[top] or any(alpha.series[top + 1:]):
+    # Degree exactly n - b = max H: A_{n-j} = 0 for j < b and A_{n-b} != 0.
+    top = H[-1]
+    series = alpha.series
+    if not series[top] or any(series[top + 1:]):
         raise ConsistencyError("Hilbert polynomial degree != n - b for %r" % (t,))
     return alpha
 
 
 def dual_alpha(alpha):
     """alpha*_i = (-1)^(|B|-1) alpha_{n-i}, supported on refl(B)."""
-    n = alpha.n
-    values = tuple(alpha.values[::-1])
-    if not len(alpha.support) % 2:
+    n, support, values = alpha
+    values = tuple(values[::-1])
+    if not len(support) % 2:
         values = tuple(-x for x in values)
-    support = tuple(sorted(n - i for i in alpha.support))
+    support = tuple(sorted(n - i for i in support))
     out = AlphaVector(n, support, values)
-    if out.values[support[0]] <= 0:
+    if values[support[0]] <= 0:
         raise ConsistencyError("dual alpha violates the sign convention")
     return out
 
 
-@dataclass(frozen=True)
-class ChiFamily:
+class ChiFamily(namedtuple("ChiFamily", "chi_series psi_series flags", defaults=((),))):
     """chi_q and psi_q as Newton series with trailing zeros trimmed:
-    chi_q(d) = sum_i chi_series[q][i] C(d+i-1, i); len = degree + 1."""
+    chi_q(d) = sum_i chi_series[q][i] C(d+i-1, i); len = degree + 1.
+    chi_series holds chi_0..chi_{s_H}, psi_series psi_0..psi_{s_C}, and flags
+    the strict degree drops, ("chi"|"psi", q)."""
 
-    chi_series: tuple  # chi_0..chi_{s_H}
-    psi_series: tuple  # psi_0..psi_{s_C}
-    flags: tuple = field(default=())  # strict degree drops, ("chi"|"psi", q)
+    __slots__ = ()
 
 
 def _truncated_family(lo, hi, X, series, what, t):
@@ -137,20 +151,23 @@ def _truncated_family(lo, hi, X, series, what, t):
 
 
 def chi_family(t, alpha):
-    n = t.n
-    chis, chi_flags = _truncated_family(t.h, n - t.b, t.H, alpha.series, "chi", t)
+    _, _, H, C = t
+    top = H[-1]  # n - b
+    series = alpha.series
+    chis, chi_flags = _truncated_family(H[0], top, H, series, "chi", t)
     # The slices tile [0, n-b], so each family sums to its polynomial iff
     # A vanishes above n-b; P*(d) = +-P(-n-d) has the same degree as P.
-    if any(alpha.series[n - t.b + 1:]):
+    if any(series[top + 1:]):
         raise ConsistencyError("chi family does not sum to its Hilbert polynomial for %r" % (t,))
     # The dual triplet has H* = C and the same b.
-    psis, psi_flags = _truncated_family(t.c, n - t.b, t.C, dual_alpha(alpha).series, "psi", t)
+    psis, psi_flags = _truncated_family(C[0], top, C, dual_alpha(alpha).series, "psi", t)
     return ChiFamily(tuple(chis), tuple(psis), tuple(chi_flags + psi_flags))
 
 
-@dataclass(frozen=True)
-class BettiDiagram:
-    entries: tuple  # (homological index, twist, rank)
+class BettiDiagram(namedtuple("BettiDiagram", "entries")):
+    """The entries (homological index, twist, rank) of a Betti diagram."""
+
+    __slots__ = ()
 
     def twists(self):
         return tuple(e[1] for e in self.entries)
@@ -184,9 +201,11 @@ def betti(t, alpha=None):
     """Betti diagram of the pure squarefree reduction: beta_q = C(n, d_q) (-1)^q alpha_{d_q}."""
     if alpha is None:
         alpha = solve_alpha(t)
+    n, B, _, _ = t
+    values = alpha.values
     entries = []
-    for q, d in enumerate(t.B):
-        rank = comb(t.n, d) * (-alpha.values[d] if q % 2 else alpha.values[d])
+    for q, d in enumerate(B):
+        rank = comb(n, d) * (-values[d] if q % 2 else values[d])
         if rank <= 0:
             raise ConsistencyError("nonpositive Betti number at q=%d for %r" % (q, t))
         entries.append((q, d, rank))

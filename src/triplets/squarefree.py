@@ -32,7 +32,8 @@ def _strand_sum(family, n, twist):
 def rotated_betti_via_strands(t, alpha, fam):
     """Betti diagram of rotate(t): the strands of the chi family at twist n - k.
     Takes `alpha = solve_alpha(t)` and `fam = chi_family(t, alpha)`."""
-    return _strand_sum(fam.chi_series, t.n, lambda k: t.n - k)
+    n = t.n
+    return _strand_sum(fam.chi_series, n, lambda k: n - k)
 
 
 def triplet_betti(t):

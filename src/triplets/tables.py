@@ -13,7 +13,7 @@ entries are emitted region by region, with one sign check per row, and
 sorted once.  A window is at most MAX_WINDOW_WIDTHS default widths wide.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, count, repeat
 from operator import itemgetter
 
@@ -25,10 +25,11 @@ DOT = "."
 MAX_WINDOW_WIDTHS = 4  # widest full_table window, in default widths n + 12: every column is held and rendered
 
 
-@dataclass(frozen=True)
-class HyperTable:
-    window: tuple  # (p_lo, p_hi) inclusive column range
-    entries: tuple  # ((row j, col p, dim), ...) sorted
+class HyperTable(namedtuple("HyperTable", "window entries")):
+    """A table as its window (p_lo, p_hi), an inclusive column range, and
+    its nonzero entries ((row j, col p, dim), ...), sorted."""
+
+    __slots__ = ()
 
     def rows(self):
         return sorted({j for j, _, _ in self.entries}, reverse=True)
@@ -36,8 +37,9 @@ class HyperTable:
     def to_json(self):
         """The bytes json.dumps gives for {"window": [..], "entries": [{"row", "col", "dim"}, ..]},
         formatted in one step: one field triple per entry."""
-        fields = ", ".join(['{"row": %d, "col": %d, "dim": %d}'] * len(self.entries))
-        return ('{"window": [%d, %d], "entries": [' + fields + "]}") % (*self.window, *chain.from_iterable(self.entries))
+        window, entries = self
+        fields = ", ".join(['{"row": %d, "col": %d, "dim": %d}'] * len(entries))
+        return ('{"window": [%d, %d], "entries": [' + fields + "]}") % (*window, *chain.from_iterable(entries))
 
 
 def default_window(n):
@@ -47,37 +49,40 @@ def default_window(n):
 def full_table(t, alpha=None, window=None, fam=None):
     """Assemble the hypercohomology table of the triplet's complex from
     `alpha = solve_alpha(t)` and `fam = chi_family(t, alpha)`, made when not given."""
+    n, B, _, _ = t
     if window is None:
-        window = default_window(t.n)
+        window = default_window(n)
     lo, hi = window
-    widest = MAX_WINDOW_WIDTHS * (t.n + 12)
+    widest = MAX_WINDOW_WIDTHS * (n + 12)
     # A window is refused before anything is solved.
     if hi - lo + 1 > widest:
         raise ValueError("need a window of at most %d * (n + 12) = %d columns, got %d"
                          % (MAX_WINDOW_WIDTHS, widest, hi - lo + 1))
-    if lo > -len(t.B) + 1 or hi < 0:
-        raise ValueError("window must contain [%d, 0]" % (-len(t.B) + 1))
+    if lo > -len(B) + 1 or hi < 0:
+        raise ValueError("window must contain [%d, 0]" % (-len(B) + 1))
     if alpha is None:
         alpha = solve_alpha(t)
     if fam is None:
         fam = chi_family(t, alpha)
+    chi_series, psi_series, _ = fam
+    a = alpha.values
     entries = []
-    for q, d in enumerate(t.B):
-        v = -alpha.values[d] if q % 2 else alpha.values[d]
+    for q, d in enumerate(B):
+        v = -a[d] if q % 2 else a[d]
         if v < 0:
             raise ConsistencyError("negative corner entry at (%d, %d)" % (d - q, -q))
         if v:
             entries.append((d - q, -q, v))
     # Row -q holds chi_q(p + q) in column p.
-    for q, chi in enumerate(fam.chi_series):
+    for q, chi in enumerate(chi_series):
         first = max(lo, -q + 1)
         _extend_row(entries, -q, count(first), newton_values(chi, first + q, hi + q + 1), "homology")
     # Row n+1-|B|+q holds psi_q(row - n - p) in column p, p descending.
-    base = t.n + 1 - len(t.B)
-    for q, psi in enumerate(fam.psi_series):
+    base = n + 1 - len(B)
+    for q, psi in enumerate(psi_series):
         row = base + q
-        last = min(hi, row - t.n - 1)
-        values = newton_values(psi, row - t.n - last, row - t.n - lo + 1)
+        last = min(hi, row - n - 1)
+        values = newton_values(psi, row - n - last, row - n - lo + 1)
         _extend_row(entries, row, count(last, -1), values, "dual")
     entries.sort()
     return HyperTable(tuple(window), tuple(entries))
@@ -93,20 +98,23 @@ def _extend_row(entries, j, cols, values, what):
 
 
 def render(table):
-    """Plain-text grid in the style of the source tables; '.' marks zero."""
+    """Plain-text grid in the style of the source tables; '.' marks zero.
+    A column is as wide as its widest label or entry, and each line is
+    formatted in one step from the column widths."""
     lo, hi = table.window
-    cols = list(range(lo, hi + 1))
-    cells = {(j, p): v for j, p, v in table.entries}
+    labels = [str(p) for p in range(lo, hi + 1)]
+    widths = [len(s) for s in labels]
+    cells = [(j, p - lo, str(v)) for j, p, v in table.entries if lo <= p <= hi]
+    for _, k, s in cells:
+        if len(s) > widths[k]:
+            widths[k] = len(s)
+    fmt = " ".join(["%%%ds" % w for w in widths])
     rows = table.rows()
-    if rows:
-        rows = list(range(max(rows), min(rows) - 1, -1))
-    grid = [[str(cells.get((j, p), DOT)) for p in cols] for j in rows]
-    labels = [str(p) for p in cols]
-    widths = [max(len(labels[k]), *(len(g[k]) for g in grid)) if grid else len(labels[k]) for k in range(len(cols))]
-    lines = []
-    for j, g in zip(rows, grid):
-        lines.append(" ".join(s.rjust(w) for s, w in zip(g, widths)) + "  | " + str(j))
-    body_width = sum(widths) + len(widths) - 1
-    lines.append("-" * (body_width + 2))
-    lines.append(" ".join(s.rjust(w) for s, w in zip(labels, widths)) + "  | d\\i")
+    grid = {j: [DOT] * len(widths) for j in range(rows[0], rows[-1] - 1, -1)} if rows else {}
+    for j, k, s in cells:
+        grid[j][k] = s
+    line = fmt + "  | %d"
+    lines = [line % (*g, j) for j, g in grid.items()]
+    lines.append("-" * (sum(widths) + len(widths) + 1))
+    lines.append(fmt % tuple(labels) + "  | d\\i")
     return "\n".join(lines)

@@ -91,9 +91,10 @@ def test_enumerate_is_lazy(monkeypatch):
     built = []
 
     class Counted(HomologyTriplet):
-        def __init__(self, *fields):
-            super().__init__(*fields)
+        def __new__(cls, *fields):
+            self = super().__new__(cls, *fields)
             built.append(self)
+            return self
 
     monkeypatch.setattr(core, "HomologyTriplet", Counted)
     t = next(iter(enumerate_triplets(8)))
