@@ -127,12 +127,12 @@ def validate_triplet(n, B, H, C):
         terms = "+".join(map(str, (b, h, c, i_b, s_h, s_c)))
         raise TripletError("count", "n = %s but b+h+c+i_B+s_H+s_C = %s" % (n, terms))
 
-    if not balanced(h, n, B, H):
-        raise TripletError("balanced_BH", "(B, H) not balanced over [%s, %s]" % (h, n))
-    if not balanced(c, n, reflect(B, n), C):
-        raise TripletError("balanced_BC", "(refl B, C) not balanced over [%s, %s]" % (c, n))
-    if not balanced(b, n, reflect(H, n), reflect(C, n)):
-        raise TripletError("balanced_HC", "(refl H, refl C) not balanced over [%s, %s]" % (b, n))
+    # The endpoints put each pair inside [lo, n], as `balanced` requires.
+    for clause, pair, lo, X, Y in (("balanced_BH", "(B, H)", h, B, H),
+                                   ("balanced_BC", "(refl B, C)", c, reflect(B, n), C),
+                                   ("balanced_HC", "(refl H, refl C)", b, reflect(H, n), reflect(C, n))):
+        if not balanced(lo, n, X, Y):
+            raise TripletError(clause, "%s not balanced over [%s, %s]" % (pair, lo, n))
     return t
 
 

@@ -9,7 +9,7 @@ successors of the nondegrees; the i'th strand is the interval
 s = number of nondegrees.
 """
 
-from functools import lru_cache
+from operator import le
 
 
 def strand_starts(lo, hi, X):
@@ -26,17 +26,11 @@ def reflect(members, n):
     return ms
 
 
-@lru_cache(maxsize=65536)
 def balanced(lo, hi, X, Y):
-    """Whether subsets X, Y of [lo, hi] (plain tuples) form a balanced pair:
-    for every u in [lo, hi], #(X cap [lo,u]) > #([lo,u] minus Y)."""
-    xs = set(X)
-    ys = set(Y)
-    in_x = 0
-    out_y = 0
-    for u in range(lo, hi + 1):
-        in_x += u in xs
-        out_y += u not in ys
-        if in_x <= out_y:
-            return False
-    return True
+    """Whether X, Y, subsets of [lo, hi] given as sequences of one type, form
+    a balanced pair: for every u in [lo, hi], #(X cap [lo,u]) > #([lo,u] minus Y).
+    That is, at least u - lo + 2 elements of the multiset X + Y are <= u, so
+    its i'th smallest is at most lo + i - 2 for i = 2..hi - lo + 2.  An
+    element outside [lo, hi] breaks this count; the caller keeps them out."""
+    m = sorted(X + Y)
+    return len(m) >= hi - lo + 2 and all(map(le, m[1:hi - lo + 2], range(lo, hi + 1)))

@@ -421,6 +421,21 @@ def pure_zip_ranks(rs, n):
     )
 
 
+def balanced_by_prefix_counts(lo, hi, X, Y):
+    """Balance of subsets X, Y of [lo, hi] by its definition: for every u in
+    [lo, hi], #(X cap [lo,u]) > #([lo,u] minus Y), counted u by u."""
+    xs = set(X)
+    ys = set(Y)
+    in_x = 0
+    out_y = 0
+    for u in range(lo, hi + 1):
+        in_x += u in xs
+        out_y += u not in ys
+        if in_x <= out_y:
+            return False
+    return True
+
+
 def balanced_by_strand_starts(lo, hi, X, Y):
     """Balance of subsets X, Y of [lo, hi] by the strand-start criterion:
     degrees lo = d_0 < d_1 < ... of X against the strand starts

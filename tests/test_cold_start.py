@@ -1,6 +1,7 @@
 """A `triplets` process imports no more of the standard library than it
 uses: the value types are named tuples, so neither `dataclasses` nor the
-`inspect` it pulls in is loaded."""
+`inspect` it pulls in is loaded.  And every library call starts cold: no
+module but `cli`, whose output cache lives for one run, memoizes."""
 
 import ast
 import os
@@ -24,6 +25,22 @@ def test_no_module_imports_dataclasses():
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) >= 10
     assert [p.name for p in paths if _imports_dataclasses(ast.parse(p.read_text(), filename=str(p)))] == []
+
+
+def _memo_names(tree):
+    """The functools memo decorators a tree names, imported or as attributes."""
+    memos = {"lru_cache", "cache", "cached_property"}
+    names = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return sorted(names & memos)
+
+
+def test_only_cli_memoizes():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    found = {p.name: _memo_names(ast.parse(p.read_text(), filename=str(p))) for p in paths}
+    assert {name: memos for name, memos in found.items() if memos} == {"cli.py": ["lru_cache"]}
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import pytest
 
@@ -48,6 +49,17 @@ def test_validation_message_holds_the_whole_input():
     with pytest.raises(TripletError) as exc:
         validate_triplet(4, B, [0], [0])
     assert str(exc.value) == "interval: B not strictly increasing: %r" % (tuple(B),)
+
+
+@pytest.mark.parametrize("B", [range(10**5 + 1), range(10**5, -1, -1)], ids=["sorted", "reversed"])
+def test_validation_at_large_n_is_fast(B):
+    # validate_triplet takes any n.  Each balance test sorts one pair, a
+    # linear merge of two sorted runs: 1 s is about 20 times what this takes
+    # on a 2-CPU Xeon, and a packed test quadratic in n took about 10 s.
+    start = time.process_time()
+    t = validate_triplet(10**5, B, [0], [0])
+    assert time.process_time() - start < 1.0
+    assert t == (10**5, tuple(range(10**5 + 1)), (0,), (0,))
 
 
 def test_paper_examples_valid(t64, t42, t44):
@@ -233,11 +245,3 @@ def test_packed_balance_at_extreme_field_sums():
             Y = tuple(u for u in full if u != u0)
             assert not balanced(0, n, X, Y)
             assert _packed_agrees(0, n, [X, Y, full], [X, Y, full]), (n, u0)
-
-
-def test_enumerate_leaves_the_balance_cache_alone():
-    # Enumeration tests balance on packed ints; only validate_triplet fills
-    # the bounded cache of `balanced`.
-    before = balanced.cache_info().currsize
-    assert len(list(enumerate_triplets(6))) == 4609
-    assert balanced.cache_info().currsize == before

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import balanced_by_strand_starts
+from oracles import balanced_by_prefix_counts, balanced_by_strand_starts
 from triplets import balanced, reflect, strand_starts
 
 
@@ -55,15 +55,17 @@ def _nonempty_subsets(lo, hi):
 
 
 def test_balanced_criteria_agree_bulk():
-    # The prefix criterion of the library against the strand-start oracle on
-    # every pair of nonempty subsets of [lo, 7], lo = 0..7: every interval of
-    # length <= 8, and every balance query the n <= 7 enumeration makes.
+    # The sorted-prefix criterion of the library against the definition and
+    # the strand-start oracle on every pair of nonempty subsets of [lo, 7],
+    # lo = 0..7: every interval of length <= 8, and every balance query the
+    # n <= 7 enumeration makes.
     checked = 0
     for lo in range(8):
         sets = _nonempty_subsets(lo, 7)
         for X in sets:
             for Y in sets:
-                assert balanced(lo, 7, X, Y) == balanced_by_strand_starts(lo, 7, X, Y), (lo, X, Y)
+                expected = balanced_by_prefix_counts(lo, 7, X, Y)
+                assert balanced(lo, 7, X, Y) == expected == balanced_by_strand_starts(lo, 7, X, Y), (lo, X, Y)
                 checked += 1
     assert checked == sum((2**k - 1) ** 2 for k in range(1, 9))
 
