@@ -30,7 +30,6 @@ from .solver import (
     betti,
     build_equations,
     chi_family,
-    dual_alpha,
     solve_alpha,
 )
 from .squarefree import rotated_betti_via_strands, triplet_betti

@@ -15,19 +15,22 @@ from math import gcd
 from operator import add, mul
 
 
-def newton_series(alpha):
-    """Newton series a_0..a_n of sum_i alpha_i P_{n,i}: a_m = sum_i alpha_i C(m, i).
-
-    By Pascal's rule a_m = u_m(0) for u_0 = alpha and u_{m+1}(i) = u_m(i) +
-    u_m(i+1).  (With g(e) = (-1)^e alpha_e = p(-e), a_m = (-1)^m (Delta^m g)(0).)
+def newton_series_pair(alpha):
+    """The Newton series a and a* of sum_i alpha_i P_{n,i} and of alpha
+    reversed, from one Pascal table u_0 = alpha, u_{m+1}(i) = u_m(i) +
+    u_m(i+1): row m is u_m(i) = sum_j C(m, j) alpha_{i+j}, so its first entry
+    is a_m = sum_i alpha_i C(m, i) and its last a*_m = sum_i alpha_{n-i} C(m, i).
+    (With g(e) = (-1)^e alpha_e = p(-e), a_m = (-1)^m (Delta^m g)(0).)
     The polynomial has degree <= n - b iff a_{n-j} = 0 for j = 0..b-1.
     """
-    u = list(alpha)
-    out = []
-    for _ in range(len(u)):
+    u = alpha
+    out = [u[0]]
+    rev = [u[-1]]
+    for _ in range(len(u) - 1):
+        u = [*map(add, u, u[1:])]
         out.append(u[0])
-        u = list(map(add, u, u[1:]))
-    return tuple(out)
+        rev.append(u[-1])
+    return tuple(out), tuple(rev)
 
 
 def newton_values(a, start, stop):
@@ -36,13 +39,15 @@ def newton_values(a, start, stop):
     The differences are stepped down to the first point if it is below 0;
     from there on each difference is the running sum of the one above it.
     """
-    diffs = list(a) or [0]
+    a = a or (0,)
     origin = min(start, 0)
-    for _ in range(origin, 0):
-        for i in range(len(diffs) - 1):
-            diffs[i] -= diffs[i + 1]
-    vals = [diffs[-1]] * max(stop - origin, 1)
-    for c in reversed(diffs[:-1]):
+    if origin:
+        a = list(a)
+        for _ in range(origin, 0):
+            for i in range(len(a) - 1):
+                a[i] -= a[i + 1]
+    vals = [a[-1]] * max(stop - origin, 1)
+    for c in a[-2::-1]:
         vals[0] = c
         vals = list(accumulate(vals))
     return vals[start - origin:stop - origin]

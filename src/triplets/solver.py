@@ -1,6 +1,6 @@
 """Solve for the coefficient vector alpha of a homology triplet and derive
-everything it determines: the dual vector, the homology polynomial family
-chi_q (and dual family psi_q), and the Betti diagram of the reduction.
+everything it determines: the homology polynomial family chi_q (and dual
+family psi_q), and the Betti diagram of the reduction.
 
 The unknowns are alpha_i, i in B.  Rows: for each r in [h, n] \\ H,
 sum_{i<=r} alpha_i C(r, i) = 0; for each r in [c, n-b] \\ C,
@@ -11,18 +11,20 @@ exactly s_H + s_C + b = |B| - 1 rows.
 Downstream, the Hilbert polynomial is its integer Newton series A (see
 linalg), A_r = sum_i alpha_i C(r, i): the H-rows say A_r = 0 off H, chi_q
 is (-1)^q times the slice of A on the q-th strand of H, and psi_q is the
-same on the dual alpha.  The strands come from degsets.strand_starts on the
-validated tuples H over [h, n-b] and C over [c, n-b].  No polynomial is
-built: every value and identity is read off the integer series.
+same on the series of the dual alpha*_i = (-1)^(|B|-1) alpha_{n-i}.  The
+strands come from degsets.strand_starts on the validated tuples H over
+[h, n-b] and C over [c, n-b].  No polynomial is built: every value and
+identity is read off the integer series.
 """
 
 from collections import namedtuple
 from itertools import repeat
 from math import comb
+from operator import neg
 
 from .degsets import strand_starts
 from .errors import ConsistencyError, Overdetermined, Underdetermined
-from .linalg import newton_series, nullspace
+from .linalg import newton_series_pair, nullspace
 
 MAX_N = 100  # largest n solved: the slowest shape found takes about 0.8 s at n = 100 and grows about as n^7
 
@@ -30,12 +32,15 @@ MAX_N = 100  # largest n solved: the slowest shape found takes about 0.8 s at n 
 class AlphaVector(namedtuple("AlphaVector", "n support values")):
     """alpha as (n, support, values), values of length n + 1, integers, zero
     off the support.  `series`, the Newton series A_0..A_n of the Hilbert
-    polynomial, is set once when the vector is made and takes no part in
-    equality, hash or repr."""
+    polynomial, and `dual_series`, that of the dual alpha*_i =
+    (-1)^(|support|-1) alpha_{n-i}, are set once when the vector is made and
+    take no part in equality, hash or repr."""
 
     def __new__(cls, n, support, values):
         self = tuple.__new__(cls, (n, support, values))
-        self.__dict__["series"] = newton_series(values)
+        d = self.__dict__
+        d["series"], dual = newton_series_pair(values)
+        d["dual_series"] = dual if len(support) % 2 else tuple(map(neg, dual))
         return self
 
     # namedtuple's _make, which _replace calls, skips __new__: route it through.
@@ -100,19 +105,6 @@ def solve_alpha(t):
     return alpha
 
 
-def dual_alpha(alpha):
-    """alpha*_i = (-1)^(|B|-1) alpha_{n-i}, supported on refl(B)."""
-    n, support, values = alpha
-    values = tuple(values[::-1])
-    if not len(support) % 2:
-        values = tuple(-x for x in values)
-    support = tuple(sorted(n - i for i in support))
-    out = AlphaVector(n, support, values)
-    if values[support[0]] <= 0:
-        raise ConsistencyError("dual alpha violates the sign convention")
-    return out
-
-
 class ChiFamily(namedtuple("ChiFamily", "chi_series psi_series flags", defaults=((),))):
     """chi_q and psi_q as Newton series with trailing zeros trimmed:
     chi_q(d) = sum_i chi_series[q][i] C(d+i-1, i); len = degree + 1.
@@ -137,15 +129,18 @@ def _truncated_family(lo, hi, X, series, what, t):
     first = 0
     for q in range(len(starts) - 1):
         m = starts[q + 1] - 2
-        chi = [0] * first + [-x if q % 2 else x for x in series[first:m + 1]]
-        while chi and not chi[-1]:
-            chi.pop()
+        end = m + 1
+        while end > first and not series[end - 1]:
+            end -= 1
+        chi = series[first:end]
+        if chi:
+            chi = (0,) * first + (tuple(map(neg, chi)) if q % 2 else chi)
         if starts[q + 1] == starts[q] + 1:
             if chi:
                 raise ConsistencyError("%s_%d nonzero on an empty strand of %r" % (what, q, t))
         elif len(chi) - 1 < m:
             flags.append((what, q))
-        family.append(tuple(chi))
+        family.append(chi)
         first = m + 1
     return family, flags
 
@@ -159,8 +154,13 @@ def chi_family(t, alpha):
     # A vanishes above n-b; P*(d) = +-P(-n-d) has the same degree as P.
     if any(series[top + 1:]):
         raise ConsistencyError("chi family does not sum to its Hilbert polynomial for %r" % (t,))
+    # The dual alpha's first nonzero entry, at n - max(support), is positive.
+    _, support, values = alpha
+    last = values[max(support)]
+    if (last if len(support) % 2 else -last) <= 0:
+        raise ConsistencyError("dual alpha violates the sign convention")
     # The dual triplet has H* = C and the same b.
-    psis, psi_flags = _truncated_family(C[0], top, C, dual_alpha(alpha).series, "psi", t)
+    psis, psi_flags = _truncated_family(C[0], top, C, alpha.dual_series, "psi", t)
     return ChiFamily(tuple(chis), tuple(psis), tuple(chi_flags + psi_flags))
 
 

@@ -73,28 +73,30 @@ def full_table(t, alpha=None, window=None, fam=None):
             raise ConsistencyError("negative corner entry at (%d, %d)" % (d - q, -q))
         if v:
             entries.append((d - q, -q, v))
-    # Row -q holds chi_q(p + q) in column p.
+    # Row -q holds chi_q(p + q) in column p; an empty strand's row is all zero.
     for q, chi in enumerate(chi_series):
-        first = max(lo, -q + 1)
-        _extend_row(entries, -q, count(first), newton_values(chi, first + q, hi + q + 1), "homology")
+        if chi:
+            first = max(lo, -q + 1)
+            values = newton_values(chi, first + q, hi + q + 1)
+            if values and min(values) < 0:
+                _negative_entry(-q, count(first), values, "homology")
+            entries += filter(itemgetter(2), zip(repeat(-q), count(first), values))
     # Row n+1-|B|+q holds psi_q(row - n - p) in column p, p descending.
-    base = n + 1 - len(B)
-    for q, psi in enumerate(psi_series):
-        row = base + q
-        last = min(hi, row - n - 1)
-        values = newton_values(psi, row - n - last, row - n - lo + 1)
-        _extend_row(entries, row, count(last, -1), values, "dual")
+    for row, psi in enumerate(psi_series, n + 1 - len(B)):
+        if psi:
+            last = min(hi, row - n - 1)
+            values = newton_values(psi, row - n - last, row - n - lo + 1)
+            if values and min(values) < 0:
+                _negative_entry(row, count(last, -1), values, "dual")
+            entries += filter(itemgetter(2), zip(repeat(row), count(last, -1), values))
     entries.sort()
     return HyperTable(tuple(window), tuple(entries))
 
 
-def _extend_row(entries, j, cols, values, what):
-    """Append the nonzero entries (j, p, v) of row j, whose columns `cols` run
-    alongside `values`; a negative value is refused at its first column."""
-    if values and min(values) < 0:
-        p = next(p for p, v in zip(cols, values) if v < 0)
-        raise ConsistencyError("negative %s entry at (%d, %d)" % (what, j, p))
-    entries += filter(itemgetter(2), zip(repeat(j), cols, values))
+def _negative_entry(j, cols, values, what):
+    """Refuse row j at the first of its columns `cols` whose value is negative."""
+    p = next(p for p, v in zip(cols, values) if v < 0)
+    raise ConsistencyError("negative %s entry at (%d, %d)" % (what, j, p))
 
 
 def render(table):

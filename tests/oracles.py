@@ -14,6 +14,7 @@ from functools import cache
 from math import comb, factorial, lcm, prod
 
 from triplets import (
+    AlphaVector,
     BettiDiagram,
     ConsistencyError,
     HomologyTriplet,
@@ -21,12 +22,11 @@ from triplets import (
     balanced,
     betti,
     chi_family,
-    dual_alpha,
     reflect,
     solve_alpha,
     strand_starts,
 )
-from triplets.linalg import newton_series, newton_values
+from triplets.linalg import newton_values
 from triplets.tables import default_window
 
 
@@ -155,6 +155,26 @@ def from_basis(alpha, n):
         if a:
             p = p + basis_poly(n, i) * a
     return p
+
+
+def newton_series(alpha):
+    """Newton series a_0..a_n of sum_i alpha_i P_{n,i}: a_m = sum_i alpha_i C(m, i),
+    summed entry by entry (the library reads it off a Pascal table)."""
+    return tuple(sum(x * comb(m, i) for i, x in enumerate(alpha)) for m in range(len(alpha)))
+
+
+def dual_alpha(alpha):
+    """alpha*_i = (-1)^(|B|-1) alpha_{n-i}, supported on refl(B), as a whole
+    AlphaVector; the library keeps only its series, `alpha.dual_series`."""
+    n, support, values = alpha
+    values = tuple(values[::-1])
+    if not len(support) % 2:
+        values = tuple(-x for x in values)
+    support = tuple(sorted(n - i for i in support))
+    out = AlphaVector(n, support, values)
+    if values[support[0]] <= 0:
+        raise ConsistencyError("dual alpha violates the sign convention")
+    return out
 
 
 def newton_poly(a):

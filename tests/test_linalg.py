@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triplets import nullspace
-from triplets.linalg import newton_series, newton_values, row_echelon
+from triplets.linalg import newton_series_pair, newton_values, row_echelon
 
 from oracles import (
     RatPoly,
@@ -19,6 +19,7 @@ from oracles import (
     in_basis,
     int_rows,
     newton_poly,
+    newton_series,
 )
 
 
@@ -182,12 +183,15 @@ def test_newton_values():
 
 def test_newton_series_is_degree_drop_rows():
     # a_{n-j} is row j of the degree-drop system applied to alpha, a_0 is
-    # alpha_0, and the series sums back to from_basis(alpha, n).
+    # alpha_0, and the series sums back to from_basis(alpha, n).  The pair's
+    # second series, read off the same Pascal table, is that of alpha reversed.
     rng = random.Random(9)
     for _ in range(100):
         n = rng.randrange(1, 8)
         alpha = [rng.randrange(-9, 10) for _ in range(n + 1)]
-        a = newton_series(alpha)
+        a, rev = newton_series_pair(alpha)
+        assert a == newton_series(alpha)
+        assert rev == newton_series(alpha[::-1])
         rows = degree_drop_equations(n, n)
         assert [sum(x * c for x, c in zip(alpha, row)) for row in rows] == list(a[:0:-1])
         assert a[0] == alpha[0]

@@ -11,13 +11,12 @@ from triplets import (
     betti,
     build_equations,
     chi_family,
-    dual_alpha,
     enumerate_triplets,
     solve_alpha,
     validate_triplet,
 )
 
-from oracles import RatPoly, alternating_sum, binom_poly, dual_identity_holds, newton_poly
+from oracles import RatPoly, alternating_sum, binom_poly, dual_alpha, dual_identity_holds, newton_poly
 
 
 def test_build_equations_goldens(t64, t42):
@@ -150,18 +149,34 @@ def test_bad_alpha_rejected(t64):
     # Wrong sign in the last slot violates the dual sign convention and
     # makes the corresponding Betti number nonpositive.
     bad = AlphaVector(4, (0, 1, 2), (3, -3, -1, 0, 0))
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="^dual alpha violates the sign convention$"):
         dual_alpha(bad)
+    # chi_family makes the same check on the dual series it reads.
+    with pytest.raises(ConsistencyError, match="^dual alpha violates the sign convention$"):
+        chi_family(t64, bad)
     with pytest.raises(ConsistencyError):
         betti(t64, bad)
 
 
 def test_alpha_series_is_set_once_and_not_compared(t64):
-    # A hand-built AlphaVector gets its Newton series when it is made; the
-    # series takes no part in equality, hash or repr.
+    # A hand-built AlphaVector gets its Newton series and its dual's when it
+    # is made; neither takes part in equality, hash or repr.
     a = solve_alpha(t64)
     again = AlphaVector(a.n, a.support, a.values)
     assert again.series == a.series == tuple(sum(v * comb(m, i) for i, v in enumerate(a.values)) for m in range(5))
+    assert again.dual_series == a.dual_series == dual_alpha(a).series == (0, 0, 2, 3, 3)
+    assert again.__dict__.keys() == {"series", "dual_series"}
+    for name in ("series", "dual_series"):
+        with pytest.raises(AttributeError):
+            setattr(again, name, ())
+        with pytest.raises(AttributeError):
+            delattr(again, name)
+    assert a._replace(values=a.values).dual_series == a.dual_series
+    # Against the whole dual vector, for every alpha with n <= 6.
+    for n in range(1, 7):
+        for t in enumerate_triplets(n):
+            alpha = solve_alpha(t)
+            assert alpha.dual_series == dual_alpha(alpha).series
     assert again == a and hash(again) == hash((a.n, a.support, a.values))
     assert repr(again) == "AlphaVector(n=4, support=(0, 1, 2), values=%r)" % (a.values,)
     with pytest.raises(TypeError):
