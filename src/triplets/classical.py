@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, inf, prod
 
 from .errors import ConsistencyError
-from .tables import HyperTable, default_window
+from .tables import HyperTable, _checked_window
 
 MAX_SIZE = 1000  # largest n and root count built; the work grows about as size^3
 
@@ -81,11 +81,10 @@ def supernatural_table(rs, window=None):
     reach a column of the window are lo - delta..hi.  As t grows, i falls by
     one at each root and the column i + t never decreases, so the twists
     whose column is in the window form one run; its values are scaled in
-    one call, in ascending twist order, and the entries sorted once.
+    one call, in ascending twist order, and the entries sorted once.  The
+    window is bounded as full_table's is, with delta in the role of n.
     """
-    if window is None:
-        window = default_window(rs.delta)
-    lo, hi = window
+    window = lo, hi = _checked_window(window, rs.delta)
     roots = rs.roots
     i = rs.delta  # roots[i - 1] is the least root above t
     rows, twists = [], []
@@ -100,7 +99,7 @@ def supernatural_table(rs, window=None):
     values = _scaled(rs, [prod(map(t.__sub__, roots)) for t in twists], "supernatural")
     entries = [(i, i + t, v) for i, t, v in zip(rows, twists, values) if v]
     entries.sort()
-    return HyperTable(tuple(window), tuple(entries))
+    return HyperTable(window, tuple(entries))
 
 
 def _integral(roots):

@@ -34,23 +34,18 @@ def newton_series_pair(alpha):
 
 
 def newton_values(a, start, stop):
-    """[p(d) for d in range(start, stop)] for the Newton series a of p.
+    """[p(d) for d in range(start, stop)] for the Newton series a of p, 0 <= start.
 
-    The differences are stepped down to the first point if it is below 0;
-    from there on each difference is the running sum of the one above it.
+    From p(0) = a_0 on, each difference is the running sum of the one above it.
     """
+    if start < 0:
+        raise ValueError("need start >= 0, got %d" % start)
     a = a or (0,)
-    origin = min(start, 0)
-    if origin:
-        a = list(a)
-        for _ in range(origin, 0):
-            for i in range(len(a) - 1):
-                a[i] -= a[i + 1]
-    vals = [a[-1]] * max(stop - origin, 1)
+    vals = [a[-1]] * max(stop, 1)
     for c in a[-2::-1]:
         vals[0] = c
         vals = list(accumulate(vals))
-    return vals[start - origin:stop - origin]
+    return vals[start:stop]
 
 
 def row_echelon(rows, ncols):

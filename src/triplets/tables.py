@@ -46,18 +46,24 @@ def default_window(n):
     return (-n - 6, 5)
 
 
+def _checked_window(window, n):
+    """(lo, hi), default_window(n) for None; at most MAX_WINDOW_WIDTHS * (n + 12) columns wide."""
+    if window is None:
+        return default_window(n)
+    lo, hi = window
+    widest = MAX_WINDOW_WIDTHS * (n + 12)
+    if hi - lo + 1 > widest:
+        raise ValueError("need a window of at most %d * (n + 12) = %d columns, got %d"
+                         % (MAX_WINDOW_WIDTHS, widest, hi - lo + 1))
+    return lo, hi
+
+
 def full_table(t, alpha=None, window=None, fam=None):
     """Assemble the hypercohomology table of the triplet's complex from
     `alpha = solve_alpha(t)` and `fam = chi_family(t, alpha)`, made when not given."""
     n, B, _, _ = t
-    if window is None:
-        window = default_window(n)
-    lo, hi = window
-    widest = MAX_WINDOW_WIDTHS * (n + 12)
     # A window is refused before anything is solved.
-    if hi - lo + 1 > widest:
-        raise ValueError("need a window of at most %d * (n + 12) = %d columns, got %d"
-                         % (MAX_WINDOW_WIDTHS, widest, hi - lo + 1))
+    window = lo, hi = _checked_window(window, n)
     if lo > -len(B) + 1 or hi < 0:
         raise ValueError("window must contain [%d, 0]" % (-len(B) + 1))
     if alpha is None:
@@ -77,26 +83,24 @@ def full_table(t, alpha=None, window=None, fam=None):
     for q, chi in enumerate(chi_series):
         if chi:
             first = max(lo, -q + 1)
-            values = newton_values(chi, first + q, hi + q + 1)
-            if values and min(values) < 0:
-                _negative_entry(-q, count(first), values, "homology")
-            entries += filter(itemgetter(2), zip(repeat(-q), count(first), values))
+            _add_row(entries, -q, count(first), chi, first + q, hi + q + 1, "homology")
     # Row n+1-|B|+q holds psi_q(row - n - p) in column p, p descending.
     for row, psi in enumerate(psi_series, n + 1 - len(B)):
         if psi:
             last = min(hi, row - n - 1)
-            values = newton_values(psi, row - n - last, row - n - lo + 1)
-            if values and min(values) < 0:
-                _negative_entry(row, count(last, -1), values, "dual")
-            entries += filter(itemgetter(2), zip(repeat(row), count(last, -1), values))
+            _add_row(entries, row, count(last, -1), psi, row - n - last, row - n - lo + 1, "dual")
     entries.sort()
-    return HyperTable(tuple(window), tuple(entries))
+    return HyperTable(window, tuple(entries))
 
 
-def _negative_entry(j, cols, values, what):
-    """Refuse row j at the first of its columns `cols` whose value is negative."""
-    p = next(p for p, v in zip(cols, values) if v < 0)
-    raise ConsistencyError("negative %s entry at (%d, %d)" % (what, j, p))
+def _add_row(entries, j, cols, a, start, stop, what):
+    """Add to entries the nonzero cells of row j: p(d) for d in range(start, stop),
+    p of Newton series a, in the columns `cols`; refuse the row at its first negative value."""
+    values = newton_values(a, start, stop)
+    if values and min(values) < 0:
+        p = next(p for p, v in zip(cols, values) if v < 0)
+        raise ConsistencyError("negative %s entry at (%d, %d)" % (what, j, p))
+    entries.extend(filter(itemgetter(2), zip(repeat(j), cols, values)))
 
 
 def render(table):

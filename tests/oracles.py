@@ -26,7 +26,6 @@ from triplets import (
     solve_alpha,
     strand_starts,
 )
-from triplets.linalg import newton_values
 from triplets.tables import default_window
 
 
@@ -324,15 +323,15 @@ def cell_dict_full_table(t, alpha=None, window=None, fam=None):
     # Row -q holds chi_q(p + q) in column p.
     for q, chi in enumerate(fam.chi_series):
         first = max(lo, -q + 1)
-        for p, v in enumerate(newton_values(chi, first + q, hi + q + 1), first):
-            put(-q, p, v, "homology")
+        for p in range(first, hi + 1):
+            put(-q, p, newton_value(chi, p + q), "homology")
     # Row n+1-|B|+q holds psi_q(row - n - p) in column p, p descending.
     base = t.n + 1 - len(t.B)
     for q, psi in enumerate(fam.psi_series):
         row = base + q
         last = min(hi, row - t.n - 1)
-        for p, v in enumerate(newton_values(psi, row - t.n - last, row - t.n - lo + 1)):
-            put(row, last - p, v, "dual")
+        for p in range(last, lo - 1, -1):
+            put(row, p, newton_value(psi, row - t.n - p), "dual")
 
     return hyper_table(window, cells)
 

@@ -17,8 +17,10 @@ from triplets import (
     supernatural_table,
     tensor_roots,
 )
+from triplets import classical
 from triplets.classical import MAX_SIZE
 from triplets.cli import main
+from triplets.tables import MAX_WINDOW_WIDTHS
 
 from oracles import cells, cohomology_row, pure_zip_ranks, supernatural_cells, supernatural_poly, zip_terms
 
@@ -284,6 +286,24 @@ def test_supernatural_table_matches_fraction_oracle():
             assert supernatural_table(rs, window).entries == () and supernatural_cells(rs, window) == {}
         report = pure_zip(rs, n)
         assert tuple(zip(report.degrees, report.ranks)) == pure_zip_ranks(rs, n)
+
+
+def test_supernatural_window_bound(monkeypatch):
+    # The widest window is MAX_WINDOW_WIDTHS default widths delta + 12, as full_table's is
+    # with delta for n; a wider one is refused before its run of twists is started.
+    rs = eagon_northcott(4)  # delta = 3
+    runs = []
+    monkeypatch.setattr(classical, "range", lambda *args: runs.append(args) or range(*args), raising=False)
+    width = MAX_WINDOW_WIDTHS * (rs.delta + 12)
+    for window in ((1 - width, 0), (-2, width - 3)):
+        assert supernatural_table(rs, window).window == window
+    assert runs == [(1 - width - 3, 1), (-5, width - 2)]
+    for window in ((-width, 0), (-2, width - 2), (0, 10 ** 6 - 1), (-10 ** 6, -1)):
+        with pytest.raises(ValueError) as exc:
+            supernatural_table(rs, window)
+        assert str(exc.value) == "need a window of at most %d * (n + 12) = %d columns, got %d" % (
+            MAX_WINDOW_WIDTHS, width, window[1] - window[0] + 1)
+    assert len(runs) == 2
 
 
 def test_non_integral_values_raise():

@@ -167,15 +167,19 @@ def test_nullspace_random_against_oracle():
 
 
 def test_newton_values():
+    # The values run forward from p(0) = a_0: a start below 0 is refused.
     p = binom_poly(3, 4) * 3  # 3*C(d+3, 4), integer-valued
     assert newton_poly((0, 0, 0, 0, 3)) == p
-    assert newton_values((0, 0, 0, 0, 3), -6, 7) == [p(d) for d in range(-6, 7)]
-    assert newton_values((), -2, 2) == [0, 0, 0, 0]
-    assert newton_values((5,), 3, 1) == []
+    assert newton_values((0, 0, 0, 0, 3), 0, 7) == [p(d) for d in range(7)]
+    assert newton_values((), 2, 6) == [0, 0, 0, 0]
+    assert newton_values((5,), 3, 1) == [] and newton_values((5,), 0, 0) == []
+    for a, start, stop in (((0, 0, 0, 0, 3), -6, 7), ((), -1, 2), ((5,), -3, -5)):
+        with pytest.raises(ValueError, match=r"^need start >= 0, got -\d+$"):
+            newton_values(a, start, stop)
     rng = random.Random(3)
     for _ in range(200):
         a = [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 8))]
-        start = rng.randrange(-15, 8)
+        start = rng.randrange(0, 8)
         stop = start + rng.randrange(0, 15)
         q = newton_poly(a)
         assert newton_values(a, start, stop) == [q(d) for d in range(start, stop)]
