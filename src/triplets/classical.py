@@ -16,7 +16,7 @@ The family constructors choose the least scale that makes P integer-valued.
 import warnings
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial, gcd, inf, prod
+from math import comb, factorial, gcd, prod
 
 from .errors import ConsistencyError
 from .tables import HyperTable, _checked_window
@@ -39,15 +39,9 @@ class RootSequence(namedtuple("RootSequence", "roots scale")):
         roots = tuple(roots)
         if type(scale) is not Fraction:
             scale = Fraction(scale)
-        decreasing = True
-        prev = inf
-        for r in roots:
-            if type(r) is not int:  # a bool is refused too
-                raise ValueError("roots must be integers: %r" % (roots,))
-            if r >= prev:
-                decreasing = False  # reported once every root is known to be an int
-            prev = r
-        if not decreasing:
+        if any(type(r) is not int for r in roots):  # a bool is refused too
+            raise ValueError("roots must be integers: %r" % (roots,))
+        if any(a <= b for a, b in zip(roots, roots[1:])):
             raise ValueError("roots must be strictly decreasing: %r" % (roots,))
         _bounded("root count", len(roots))
         if scale.numerator <= 0:
@@ -82,9 +76,12 @@ def supernatural_table(rs, window=None):
     one at each root and the column i + t never decreases, so the twists
     whose column is in the window form one run; its values are scaled in
     one call, in ascending twist order, and the entries sorted once.  The
-    window is bounded as full_table's is, with delta in the role of n.
+    window is bounded as full_table's is, with delta in the role of n, and
+    a reversed one is refused.
     """
     window = lo, hi = _checked_window(window, rs.delta)
+    if lo > hi:
+        raise ValueError("need a window with lo <= hi, got (%d, %d)" % window)
     roots = rs.roots
     i = rs.delta  # roots[i - 1] is the least root above t
     rows, twists = [], []

@@ -20,6 +20,7 @@ from math import factorial
 from . import classical
 from .core import HomologyTriplet, enumerate_triplets, validate_triplet
 from .errors import ConsistencyError, DegenerateSystem, TripletError
+from .linalg import newton_series_pair
 from .solver import betti, solve_alpha
 from .squarefree import triplet_betti
 from .tables import full_table, render
@@ -189,7 +190,8 @@ def _output(cmd, as_json, window, t):
         if as_json:
             return alpha.to_json()
         return "support: %s\nalpha: %s\nP(d) = %s" % (
-            ",".join(map(str, alpha.support)), ",".join(map(str, alpha.on_support())), _power_form(alpha.series))
+            ",".join(map(str, alpha.support)), ",".join(map(str, alpha.on_support())),
+            _power_form(newton_series_pair(alpha.values)[0]))
     if cmd == "betti":
         diagram = betti(t)
         return diagram.to_json() if as_json else diagram.render()

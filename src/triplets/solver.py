@@ -20,7 +20,7 @@ identity is read off the integer series.
 from collections import namedtuple
 from itertools import repeat
 from math import comb
-from operator import neg
+from operator import mul, neg
 
 from .degsets import strand_starts
 from .errors import ConsistencyError, Overdetermined, Underdetermined
@@ -31,26 +31,9 @@ MAX_N = 100  # largest n solved: the slowest shape found takes about 0.8 s at n 
 
 class AlphaVector(namedtuple("AlphaVector", "n support values")):
     """alpha as (n, support, values), values of length n + 1, integers, zero
-    off the support.  `series`, the Newton series A_0..A_n of the Hilbert
-    polynomial, and `dual_series`, that of the dual alpha*_i =
-    (-1)^(|support|-1) alpha_{n-i}, are set once when the vector is made and
-    take no part in equality, hash or repr."""
+    off the support."""
 
-    def __new__(cls, n, support, values):
-        self = tuple.__new__(cls, (n, support, values))
-        d = self.__dict__
-        d["series"], dual = newton_series_pair(values)
-        d["dual_series"] = dual if len(support) % 2 else tuple(map(neg, dual))
-        return self
-
-    # namedtuple's _make, which _replace calls, skips __new__: route it through.
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlphaVector is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("AlphaVector is immutable")
+    __slots__ = ()
 
     def on_support(self):
         _, support, values = self
@@ -93,19 +76,18 @@ def solve_alpha(t):
     values = [0] * (n + 1)
     for i, v in zip(B, prim):
         values[i] = v
-    alpha = AlphaVector(n, B, tuple(values))
     for q, d in enumerate(B):
         if (-values[d] if q % 2 else values[d]) <= 0:
             raise ConsistencyError("sign convention violated at q=%d for %r" % (q, t))
-    # Degree exactly n - b = max H: A_{n-j} = 0 for j < b and A_{n-b} != 0.
+    # Degree exactly n - b = max H.  Each r in (max H, n] is off H, so its
+    # row A_r = 0 is among the equations alpha solves; A_{max H} is checked.
     top = H[-1]
-    series = alpha.series
-    if not series[top] or any(series[top + 1:]):
+    if not sum(map(mul, prim, map(comb, repeat(top), B))):
         raise ConsistencyError("Hilbert polynomial degree != n - b for %r" % (t,))
-    return alpha
+    return AlphaVector(n, B, tuple(values))
 
 
-class ChiFamily(namedtuple("ChiFamily", "chi_series psi_series flags", defaults=((),))):
+class ChiFamily(namedtuple("ChiFamily", "chi_series psi_series flags")):
     """chi_q and psi_q as Newton series with trailing zeros trimmed:
     chi_q(d) = sum_i chi_series[q][i] C(d+i-1, i); len = degree + 1.
     chi_series holds chi_0..chi_{s_H}, psi_series psi_0..psi_{s_C}, and flags
@@ -148,19 +130,21 @@ def _truncated_family(lo, hi, X, series, what, t):
 def chi_family(t, alpha):
     _, _, H, C = t
     top = H[-1]  # n - b
-    series = alpha.series
+    _, support, values = alpha
+    series, dual = newton_series_pair(values)
     chis, chi_flags = _truncated_family(H[0], top, H, series, "chi", t)
     # The slices tile [0, n-b], so each family sums to its polynomial iff
     # A vanishes above n-b; P*(d) = +-P(-n-d) has the same degree as P.
     if any(series[top + 1:]):
         raise ConsistencyError("chi family does not sum to its Hilbert polynomial for %r" % (t,))
     # The dual alpha's first nonzero entry, at n - max(support), is positive.
-    _, support, values = alpha
     last = values[max(support)]
     if (last if len(support) % 2 else -last) <= 0:
         raise ConsistencyError("dual alpha violates the sign convention")
     # The dual triplet has H* = C and the same b.
-    psis, psi_flags = _truncated_family(C[0], top, C, alpha.dual_series, "psi", t)
+    if not len(support) % 2:
+        dual = tuple(map(neg, dual))
+    psis, psi_flags = _truncated_family(C[0], top, C, dual, "psi", t)
     return ChiFamily(tuple(chis), tuple(psis), tuple(chi_flags + psi_flags))
 
 

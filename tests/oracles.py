@@ -164,7 +164,8 @@ def newton_series(alpha):
 
 def dual_alpha(alpha):
     """alpha*_i = (-1)^(|B|-1) alpha_{n-i}, supported on refl(B), as a whole
-    AlphaVector; the library keeps only its series, `alpha.dual_series`."""
+    AlphaVector; the library builds only its Newton series, in chi_family,
+    as the reversed half of newton_series_pair(alpha.values)."""
     n, support, values = alpha
     values = tuple(values[::-1])
     if not len(support) % 2:
@@ -357,8 +358,9 @@ def euler_failures(table, t, alpha):
     lo, hi = table.window
     row_lo, row_hi = -t.s_H, t.n + 1 - len(t.B) + t.s_C
     rows = range(row_lo, row_hi + 1)
+    a = newton_series(alpha.values)
     return [twist for twist in range(lo - row_lo, hi - row_hi + 1)
-            if table_euler(table, twist, rows) != newton_value(alpha.series, twist)]
+            if table_euler(table, twist, rows) != newton_value(a, twist)]
 
 
 def dual_identity_holds(t, alpha, dual):
@@ -366,7 +368,8 @@ def dual_identity_holds(t, alpha, dual):
     of alpha and of its dual vector; both have degree <= n, so agreement at
     the n+1 points d = 0..n is agreement as polynomials."""
     sign = -1 if (len(t.B) - 1 - t.n) % 2 else 1
-    return all(newton_value(dual.series, d) == sign * newton_value(alpha.series, -t.n - d) for d in range(t.n + 1))
+    a, a_dual = newton_series(alpha.values), newton_series(dual.values)
+    return all(newton_value(a_dual, d) == sign * newton_value(a, -t.n - d) for d in range(t.n + 1))
 
 
 def alternating_sum(family):

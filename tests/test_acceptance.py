@@ -38,6 +38,7 @@ from oracles import (
     in_basis,
     int_rows,
     newton_poly,
+    newton_series,
     zip_terms,
 )
 
@@ -167,7 +168,7 @@ def test_criterion_6_property_sweep():
         assert r1.rotate().rotate() == t
         assert d.dual() == t
         assert r1.dual() == d.rotate().rotate()
-        p = newton_poly(a.series)
+        p = newton_poly(newton_series(a.values))
         assert p.degree == t.n - t.b
 
         fam = fams[t] = chi_family(t, a)

@@ -66,8 +66,9 @@ def test_root_sequence_validation():
         RootSequence((1, 2))
     with pytest.raises(ValueError):
         RootSequence((0,), scale=0)
-    # Values are int products, so a float or Fraction root is refused up front.
-    for roots in [(-0.5,), (-1.5,), (Fraction(-3, 2),), (True, -1)]:
+    # Values are int products, so a float or Fraction root is refused up front,
+    # before the order is checked: (1, 2, 0.5) is out of order too.
+    for roots in [(-0.5,), (-1.5,), (Fraction(-3, 2),), (True, -1), (1, 2, 0.5)]:
         with pytest.raises(ValueError, match="roots must be integers"):
             RootSequence(roots, scale=2)
     assert RootSequence(()).delta == 0
@@ -282,8 +283,10 @@ def test_supernatural_table_matches_fraction_oracle():
         for window in windows:
             assert cells(supernatural_table(rs, window)) == supernatural_cells(rs, window)
         assert supernatural_table(rs) == supernatural_table(rs, windows[0])
-        for window in [(lo, lo - 1), (5, -rs.delta - 6)]:  # inverted: no column, no entry
-            assert supernatural_table(rs, window).entries == () and supernatural_cells(rs, window) == {}
+        for window in [(lo, lo - 1), (5, -rs.delta - 6)]:  # reversed: no column, refused
+            assert supernatural_cells(rs, window) == {}
+            with pytest.raises(ValueError, match=r"^need a window with lo <= hi, got \(%d, %d\)$" % window):
+                supernatural_table(rs, window)
         report = pure_zip(rs, n)
         assert tuple(zip(report.degrees, report.ranks)) == pure_zip_ranks(rs, n)
 
@@ -303,6 +306,11 @@ def test_supernatural_window_bound(monkeypatch):
             supernatural_table(rs, window)
         assert str(exc.value) == "need a window of at most %d * (n + 12) = %d columns, got %d" % (
             MAX_WINDOW_WIDTHS, width, window[1] - window[0] + 1)
+    # A reversed window has no column, and render would print a malformed grid
+    # for it: it is refused before any twist is evaluated too.
+    for window in ((5, -5), (0, -1)):
+        with pytest.raises(ValueError, match=r"^need a window with lo <= hi, got \(%d, %d\)$" % window):
+            supernatural_table(rs, window)
     assert len(runs) == 2
 
 

@@ -1,6 +1,6 @@
 import random
 
-from oracles import interpolated_chi_family, newton_poly, newton_value, sheaf_class_decompose
+from oracles import interpolated_chi_family, newton_poly, newton_series, newton_value, sheaf_class_decompose
 
 from triplets import (
     AlphaVector,
@@ -59,7 +59,7 @@ def test_chi_family_of_hand_built_alphas_matches_interpolation_oracle():
                     assert tuple(map(newton_poly, fam.psi_series)) == psis
                     assert fam.flags == flags
                     accepted += 1
-                    at_boundary += any(alpha.series[x - 1] for x in strand_starts(t.h, n - t.b, t.H)[1:-1])
+                    at_boundary += any(newton_series(alpha.values)[x - 1] for x in strand_starts(t.h, n - t.b, t.H)[1:-1])
     assert (accepted, at_boundary) == (421, 269)
 
 

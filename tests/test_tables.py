@@ -26,6 +26,7 @@ from oracles import (
     euler_failures,
     hyper_table,
     newton_poly,
+    newton_series,
     table_euler,
     tate_terms,
     zip_terms,
@@ -109,7 +110,7 @@ def test_window_validation(t64):
 
 
 def test_euler_method(t64, t64_table):
-    p = newton_poly(solve_alpha(t64).series)
+    p = newton_poly(newton_series(solve_alpha(t64).values))
     for twist in range(-7, 2):
         assert table_euler(t64_table, twist) == p(twist)
 
@@ -261,21 +262,23 @@ def test_negative_corner_entry(t64):
 
 def test_negative_homology_entry(t64):
     # Row -1 holds chi_1(p + 1), and chi_1(d) = d - C(d + 1, 2) is 0 at d = 1, -1 at d = 2.
-    fam = ChiFamily(chi_series=((1,), (0, 1, -1)), psi_series=())
+    fam = ChiFamily(chi_series=((1,), (0, 1, -1)), psi_series=(), flags=())
     _negative_entry(t64, solve_alpha(t64), fam, "negative homology entry at (-1, 1)")
 
 
 def test_negative_dual_entry(t64):
     # Row 3 holds psi_1(-1 - p) from column -2 down, and psi_1(d) = 2 - d is -1 at d = 3.
-    fam = ChiFamily(chi_series=(), psi_series=((1,), (2, -1)))
+    fam = ChiFamily(chi_series=(), psi_series=((1,), (2, -1)), flags=())
     _negative_entry(t64, solve_alpha(t64), fam, "negative dual entry at (3, -4)")
 
 
 def test_window_containment_is_checked_before_the_solve():
     # n = 101 is past the solve bound, so only a check made before the solve reaches its own message.
+    # A reversed window gets the same message.
     t = validate_triplet(101, range(102), [0], [0])
-    with pytest.raises(ValueError, match=r"^window must contain \[-101, 0\]$"):
-        full_table(t, window=(0, 1))
+    for window in ((0, 1), (5, -5)):
+        with pytest.raises(ValueError, match=r"^window must contain \[-101, 0\]$"):
+            full_table(t, window=window)
 
 
 def test_window_bound(t64):
