@@ -30,15 +30,15 @@ def _bounded(what, size):
 
 
 class RootSequence(namedtuple("RootSequence", "roots scale")):
-    """Strictly decreasing integer roots and a positive Fraction scale,
-    coerced and checked when the sequence is made, by _replace too."""
+    """Strictly decreasing integer roots and a positive scale, an int or a
+    Fraction held as a Fraction, checked when the sequence is made, by _replace too."""
 
     __slots__ = ()
 
     def __new__(cls, roots, scale=Fraction(1)):
-        roots = tuple(roots)
-        if type(scale) is not Fraction:
-            scale = Fraction(scale)
+        if type(scale) not in (int, Fraction):  # a bool or a float is refused
+            raise ValueError("scale must be an int or a Fraction: %r" % (scale,))
+        roots, scale = tuple(roots), Fraction(scale)
         if any(type(r) is not int for r in roots):  # a bool is refused too
             raise ValueError("roots must be integers: %r" % (roots,))
         if any(a <= b for a, b in zip(roots, roots[1:])):

@@ -15,7 +15,6 @@ import sys
 import warnings
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial
 
 from . import classical
 from .core import HomologyTriplet, enumerate_triplets, validate_triplet
@@ -130,23 +129,14 @@ def build_parser():
 
 
 def _power_form(series):
-    """The polynomial sum_i a_i C(d+i-1, i) of the Newton series a in powers
-    of d, printed as `c_0 + c_1*d + c_2*d^2 + ...` with zero terms left out.
-
-    C(d+i-1, i) is the rising factorial d(d+1)...(d+i-1) over i!, so over
-    the common denominator top! every power-basis coefficient is an int.
-    """
-    top = len(series) - 1
-    den = factorial(top)
-    num = [0] * (top + 1)
-    rising = [1]  # d(d+1)...(d+i-1) in powers of d
-    for i, a in enumerate(series):
-        if i:
-            rising = [x + (i - 1) * y for x, y in zip([0] + rising, rising + [0])]
-        if a:
-            weight = a * (den // factorial(i))
-            for k, c in enumerate(rising):
-                num[k] += weight * c
+    """The polynomial sum_i a_i C(d+i-1, i) of the Newton series a in powers of d,
+    printed as `c_0 + c_1*d + c_2*d^2 + ...` with zero terms left out.  It is p_0 of
+    the nested p_i = a_i + (d+i)/(i+1) p_{i+1}, each held as int coefficients over den."""
+    num, den = [], 1
+    for i in reversed(range(len(series))):
+        num = [i * x + y for x, y in zip([*num, 0], [0, *num])]
+        den *= i + 1
+        num[0] += series[i] * den
     terms = []
     for k, c in enumerate(num):
         if c:

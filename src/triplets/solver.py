@@ -96,8 +96,8 @@ class ChiFamily(namedtuple("ChiFamily", "chi_series psi_series flags")):
     __slots__ = ()
 
 
-def _truncated_family(lo, hi, X, series, what, t):
-    """chi_q = (-1)^q sum_{m_q < i <= m_{q+1}} A_i C(d+i-1, i), where
+def _truncated_family(lo, hi, X, series, sign, what, t):
+    """chi_q = (-1)^(q + sign) sum_{m_q < i <= m_{q+1}} A_i C(d+i-1, i), where
     m_q = x_q - 2 for the strand starts x_q of the degree set X in [lo, hi]
     and m_0 = -1.
 
@@ -116,7 +116,7 @@ def _truncated_family(lo, hi, X, series, what, t):
             end -= 1
         chi = series[first:end]
         if chi:
-            chi = (0,) * first + (tuple(map(neg, chi)) if q % 2 else chi)
+            chi = (0,) * first + (tuple(map(neg, chi)) if (q + sign) % 2 else chi)
         if starts[q + 1] == starts[q] + 1:
             if chi:
                 raise ConsistencyError("%s_%d nonzero on an empty strand of %r" % (what, q, t))
@@ -132,19 +132,17 @@ def chi_family(t, alpha):
     top = H[-1]  # n - b
     _, support, values = alpha
     series, dual = newton_series_pair(values)
-    chis, chi_flags = _truncated_family(H[0], top, H, series, "chi", t)
+    chis, chi_flags = _truncated_family(H[0], top, H, series, 0, "chi", t)
     # The slices tile [0, n-b], so each family sums to its polynomial iff
     # A vanishes above n-b; P*(d) = +-P(-n-d) has the same degree as P.
     if any(series[top + 1:]):
         raise ConsistencyError("chi family does not sum to its Hilbert polynomial for %r" % (t,))
-    # The dual alpha's first nonzero entry, at n - max(support), is positive.
-    last = values[max(support)]
-    if (last if len(support) % 2 else -last) <= 0:
+    # The dual alpha*_i = (-1)^sign alpha_{n-i} is positive at n - max(support).
+    sign = 1 - len(support) % 2
+    if (-1) ** sign * values[max(support)] <= 0:
         raise ConsistencyError("dual alpha violates the sign convention")
-    # The dual triplet has H* = C and the same b.
-    if not len(support) % 2:
-        dual = tuple(map(neg, dual))
-    psis, psi_flags = _truncated_family(C[0], top, C, dual, "psi", t)
+    # The dual triplet has H* = C and the same b; psi_q carries the dual's sign.
+    psis, psi_flags = _truncated_family(C[0], top, C, dual, sign, "psi", t)
     return ChiFamily(tuple(chis), tuple(psis), tuple(chi_flags + psi_flags))
 
 

@@ -6,7 +6,8 @@ with twists reflected d -> n - d.
 
 A sheaf class is the integer Newton series a of its Hilbert polynomial (see
 linalg).  The squarefree reduction of O_{P^i} has h^sq vector C(n, i) e_i,
-so a strand adds a_k C(n, k) at one twist, with no polynomial built.
+so a strand adds a_k C(n, k) at one twist, with no polynomial built.  The
+strands of a family tile one Newton series, so no two cells share a twist.
 """
 
 from math import comb
@@ -17,23 +18,19 @@ from .solver import BettiDiagram, betti, chi_family, solve_alpha
 
 def _strand_sum(family, n, twist):
     """Betti diagram of the strands of a chi or psi family: a class with
-    Newton series a adds a_k C(n, k) at twist(k); entries by ascending twist."""
-    acc = {}
+    Newton series a adds the cell a_k C(n, k) at twist(k); entries by ascending twist."""
+    cells = []
     for a in family:
         if a and min(a) < 0:
             raise ConsistencyError("negative class coefficients %r" % (a,))
-        for k, x in enumerate(a):
-            if x:
-                d = twist(k)
-                acc[d] = acc.get(d, 0) + x * comb(n, k)
-    return BettiDiagram(tuple((q, d, acc[d]) for q, d in enumerate(sorted(acc))))
+        cells += [(twist(k), x * comb(n, k)) for k, x in enumerate(a) if x]
+    return BettiDiagram(tuple((q, d, r) for q, (d, r) in enumerate(sorted(cells))))
 
 
 def rotated_betti_via_strands(t, alpha, fam):
-    """Betti diagram of rotate(t): the strands of the chi family at twist n - k.
-    Takes `alpha = solve_alpha(t)` and `fam = chi_family(t, alpha)`."""
-    n = t.n
-    return _strand_sum(fam.chi_series, n, lambda k: n - k)
+    """Betti diagram of rotate(t): the strands of `fam = chi_family(t, alpha)` at
+    twist n - k.  alpha is not read; it stays a parameter for its callers."""
+    return _strand_sum(fam.chi_series, t.n, t.n.__sub__)
 
 
 def triplet_betti(t):

@@ -106,8 +106,10 @@ def _add_row(entries, j, cols, a, start, stop, what):
 def render(table):
     """Plain-text grid in the style of the source tables; '.' marks zero.
     A column is as wide as its widest label or entry, and each line is
-    formatted in one step from the column widths."""
+    formatted in one step from the column widths.  A reversed window is refused."""
     lo, hi = table.window
+    if lo > hi:
+        raise ValueError("need a window with lo <= hi, got (%d, %d)" % (lo, hi))
     labels = [str(p) for p in range(lo, hi + 1)]
     widths = [len(s) for s in labels]
     cells = [(j, p - lo, str(v)) for j, p, v in table.entries if lo <= p <= hi]

@@ -11,7 +11,7 @@ and the zip and Tate terms read off a table's cells.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from triplets import (
     AlphaVector,
@@ -175,6 +175,18 @@ def dual_alpha(alpha):
     if values[support[0]] <= 0:
         raise ConsistencyError("dual alpha violates the sign convention")
     return out
+
+
+def interval_alpha(n, B):
+    """Closed-form alpha of the interval triplet T_B = (B, [min B, n - |B| + 1],
+    [n - max B, n - |B| + 1]) as an AlphaVector.  Its Hilbert polynomial vanishes
+    exactly at -x for x in [0, n] off B, and P(-e) = (-1)^e alpha_e, so alpha_e is
+    (-1)^e prod_{x not in B} (x - e) for e in B, made primitive and positive at min B."""
+    B = tuple(sorted(B))
+    off = [x for x in range(n + 1) if x not in B]
+    values = [(-1) ** e * prod(x - e for x in off) if e in B else 0 for e in range(n + 1)]
+    g = gcd(*values) * (1 if values[B[0]] > 0 else -1)
+    return AlphaVector(n, B, tuple(v // g for v in values))
 
 
 def newton_poly(a):

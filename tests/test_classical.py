@@ -74,6 +74,20 @@ def test_root_sequence_validation():
     assert RootSequence(()).delta == 0
 
 
+def test_root_sequence_scale_is_an_int_or_a_fraction():
+    # A float would be taken at its binary value (0.1 is not 1/10), so it is
+    # refused, by _replace too; so are a bool, a string and None.
+    rs = RootSequence((-1,), 2)
+    assert type(rs.scale) is Fraction and rs.scale == 2
+    assert RootSequence((-1,), Fraction(1, 10)).scale == Fraction(1, 10)
+    assert rs._replace(scale=Fraction(1, 2)).scale == Fraction(1, 2)
+    for scale in [0.1, 0.5, 2.0, True, "1", None]:
+        with pytest.raises(ValueError, match="scale must be an int or a Fraction"):
+            RootSequence((-1,), scale)
+        with pytest.raises(ValueError, match="scale must be an int or a Fraction"):
+            rs._replace(scale=scale)
+
+
 def test_supernatural_poly():
     rs = RootSequence((-1, -2), scale=Fraction(2))
     p = supernatural_poly(rs)

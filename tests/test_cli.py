@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triplets import ConsistencyError, Overdetermined, enumerate_triplets, triplet_betti, validate_triplet
-from triplets.cli import EXCERPT, _texts, build_parser, main
+from triplets.cli import EXCERPT, _power_form, _texts, build_parser, main
 from triplets.solver import MAX_N
 from triplets.tables import MAX_WINDOW_WIDTHS
+
+from oracles import newton_poly
 
 T64_ARGS = ["--n", "4", "--B", "0,1,2", "--H", "0,2,4", "--C", "2,3,4"]
 T64_LINE = '{"n": 4, "B": [0, 1, 2], "H": [0, 2, 4], "C": [2, 3, 4]}\n'
@@ -56,6 +59,19 @@ def test_solve_text(capsys):
     assert code == 0
     assert "support: 0,1,2" in out and "alpha: 3,-3,2" in out and "P(d) =" in out
     assert out.splitlines()[2] == "P(d) = 3 + 1/4*d + 7/8*d^2 + 3/4*d^3 + 1/8*d^4"
+
+
+def test_power_form_matches_the_newton_poly_oracle():
+    # Seeded series of length 1 to 12 with zero and negative entries, most of
+    # which no solved alpha produces; str(RatPoly) prints its power coefficients
+    # in the `P(d) =` format.
+    rng = random.Random(27)
+    cases = [(0,), (5,), (0, 0, 0), (0, 0, -1), (-3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7)]
+    for _ in range(2000):
+        size = rng.choice([9, 10**6])
+        cases.append(tuple(rng.randint(-size, size) if rng.random() < 0.6 else 0 for _ in range(rng.randint(1, 12))))
+    for a in cases:
+        assert _power_form(a) == str(newton_poly(a)), a
 
 
 def test_solve_text_digest(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -16,7 +17,16 @@ from triplets import (
 )
 from triplets.linalg import newton_series_pair
 
-from oracles import RatPoly, alternating_sum, binom_poly, dual_alpha, dual_identity_holds, newton_poly, newton_series
+from oracles import (
+    RatPoly,
+    alternating_sum,
+    binom_poly,
+    dual_alpha,
+    dual_identity_holds,
+    interval_alpha,
+    newton_poly,
+    newton_series,
+)
 
 
 def test_build_equations_goldens(t64, t42):
@@ -225,3 +235,27 @@ def test_to_json_matches_json_dumps():
     for mine, dumped in _json_pairs(t, alpha, diagram):
         assert mine == dumped
     assert len(alpha.to_json()) > 4000
+
+
+def interval_triplet(n, B):
+    """T_B = (B, [h, n - b], [c, n - b]) with b = |B| - 1, h = min B, c = n - max B."""
+    top = n - len(B) + 1
+    return validate_triplet(n, B, range(B[0], top + 1), range(n - B[-1], top + 1))
+
+
+def test_interval_alpha_closed_form_small_n():
+    # Every nonempty B in [0, n], n <= 6: 247 interval triplets.
+    for n in range(7):
+        for mask in range(1, 2 ** (n + 1)):
+            B = [e for e in range(n + 1) if mask >> e & 1]
+            assert solve_alpha(interval_triplet(n, B)) == interval_alpha(n, B), (n, B)
+
+
+def test_interval_alpha_closed_form_up_to_max_n():
+    # An oracle for the Bareiss solve up to MAX_N = 100, where the Fraction
+    # oracles do not reach: 20 seeded B at each n in {20, 40, 60, 80, 100}.
+    rng = random.Random(3)
+    for n in (20, 40, 60, 80, 100):
+        for _ in range(20):
+            B = sorted(rng.sample(range(n + 1), rng.randint(1, n + 1)))
+            assert solve_alpha(interval_triplet(n, B)) == interval_alpha(n, B), (n, B)

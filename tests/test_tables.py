@@ -101,6 +101,14 @@ def test_render_empty():
     assert render(hyper_table((0, 2), {})) == "-------\n0 1 2  | d\\i"
 
 
+def test_render_refuses_a_reversed_window():
+    # A hand-built table with no column would print a malformed "-\n  | d\i".
+    for window in [(5, -5), (0, -1)]:
+        with pytest.raises(ValueError, match=r"need a window with lo <= hi, got \(%d, %d\)" % window):
+            render(hyper_table(window, {}))
+    assert render(hyper_table((0, 0), {})) == "---\n0  | d\\i"
+
+
 def test_window_validation(t64):
     with pytest.raises(ValueError):
         full_table(t64, window=(-1, 3))  # must contain [-|B|+1, 0]
