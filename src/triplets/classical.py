@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, prod
 
 from .errors import ConsistencyError
-from .tables import HyperTable, _checked_window
+from .tables import HyperTable, _checked_window, _ordered
 
 MAX_SIZE = 1000  # largest n and root count built; the work grows about as size^3
 
@@ -79,9 +79,7 @@ def supernatural_table(rs, window=None):
     window is bounded as full_table's is, with delta in the role of n, and
     a reversed one is refused.
     """
-    window = lo, hi = _checked_window(window, rs.delta)
-    if lo > hi:
-        raise ValueError("need a window with lo <= hi, got (%d, %d)" % window)
+    window = lo, hi = _ordered(_checked_window(window, rs.delta))
     roots = rs.roots
     i = rs.delta  # roots[i - 1] is the least root above t
     rows, twists = [], []

@@ -152,16 +152,6 @@ def _packing(n):
     return k, G, T
 
 
-def _pack(X, n, k):
-    """The prefix counts #(X cap [0, u]), u = 0..n, packed k bits a field."""
-    members = set(X)
-    packed = count = 0
-    for u in range(n + 1):
-        count += u in members
-        packed |= count << (k * u)
-    return packed
-
-
 def _balanced_bits(px, pys, G, T_lo):
     """Bitmask of the i with (X, Y_i) balanced over [lo, n], from packed X
     and packed Y_i, all inside [lo, n]."""
@@ -175,18 +165,19 @@ def _balanced_bits(px, pys, G, T_lo):
 
 
 def _candidates(n, k):
-    """(X, span, packed X, packed refl X) for every nonempty subset X of
-    [0, n], grouped by min X, each group in lexicographic order (preorder of
-    the increasing sequences)."""
+    """(X, span, packed X, packed refl X) for every nonempty subset X of [0, n], grouped
+    by min X, each group in lexicographic order (preorder of the increasing sequences):
+    adding x to X adds ones[x], a 1 in each field u >= x, to packed X, ones[n - x] to refl X."""
+    ones = [sum(1 << (k * u) for u in range(x, n + 1)) for x in range(n + 1)]
     out = [[] for _ in range(n + 1)]
 
-    def extend(ms):
-        out[ms[0]].append((ms, (ms[-1] - ms[0] + 1) - len(ms), _pack(ms, n, k), _pack(reflect(ms, n), n, k)))
+    def extend(ms, packed, packed_refl):
+        out[ms[0]].append((ms, (ms[-1] - ms[0] + 1) - len(ms), packed, packed_refl))
         for x in range(ms[-1] + 1, n + 1):
-            extend(ms + (x,))
+            extend(ms + (x,), packed + ones[x], packed_refl + ones[n - x])
 
     for lo in range(n + 1):
-        extend((lo,))
+        extend((lo,), ones[lo], ones[n - lo])
     return out
 
 

@@ -74,11 +74,10 @@ def solve_alpha(t):
     if prim[0] < 0:
         prim = [-x for x in prim]
     values = [0] * (n + 1)
-    for i, v in zip(B, prim):
-        values[i] = v
-    for q, d in enumerate(B):
-        if (-values[d] if q % 2 else values[d]) <= 0:
+    for q, (d, v) in enumerate(zip(B, prim)):
+        if (-v if q % 2 else v) <= 0:
             raise ConsistencyError("sign convention violated at q=%d for %r" % (q, t))
+        values[d] = v
     # Degree exactly n - b = max H.  Each r in (max H, n] is off H, so its
     # row A_r = 0 is among the equations alpha solves; A_{max H} is checked.
     top = H[-1]
@@ -165,17 +164,12 @@ class BettiDiagram(namedtuple("BettiDiagram", "entries")):
         """Macaulay2-style grid: columns = homological index, rows = twist - index."""
         if not self.entries:
             return "(empty diagram)"
-        slopes = [d - i for i, d, _ in self.entries]
-        cols = [i for i, _, _ in self.entries]
-        cells = {(d - i, i): r for i, d, r in self.entries}
-        lines = []
-        width = max(len(str(r)) for _, _, r in self.entries)
-        width = max(width, max(len(str(s)) for s in slopes), max(len(str(c)) for c in cols))
-        header = " " * (width + 2) + " ".join(str(c).rjust(width) for c in range(min(cols), max(cols) + 1))
-        lines.append(header)
-        for s in range(min(slopes), max(slopes) + 1):
-            row = [str(cells.get((s, c), ".")).rjust(width) for c in range(min(cols), max(cols) + 1)]
-            lines.append(str(s).rjust(width) + ": " + " ".join(row))
+        cells = {(d - i, i): str(r) for i, d, r in self.entries}
+        slopes, cols = (range(min(x), max(x) + 1) for x in zip(*cells))
+        # The widest label of an int range is at one of its ends.
+        width = max(map(len, (*cells.values(), *map(str, (slopes[0], slopes[-1], cols[0], cols[-1])))))
+        lines = [" " * (width + 2) + " ".join(str(c).rjust(width) for c in cols)]
+        lines += (str(s).rjust(width) + ": " + " ".join(cells.get((s, c), ".").rjust(width) for c in cols) for s in slopes)
         return "\n".join(lines)
 
 

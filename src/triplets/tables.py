@@ -37,9 +37,17 @@ class HyperTable(namedtuple("HyperTable", "window entries")):
     def to_json(self):
         """The bytes json.dumps gives for {"window": [..], "entries": [{"row", "col", "dim"}, ..]},
         formatted in one step: one field triple per entry."""
-        window, entries = self
+        window, entries = _ordered(self.window), self.entries
         fields = ", ".join(['{"row": %d, "col": %d, "dim": %d}'] * len(entries))
         return ('{"window": [%d, %d], "entries": [' + fields + "]}") % (*window, *chain.from_iterable(entries))
+
+
+def _ordered(window):
+    """The window (lo, hi); a reversed window is refused."""
+    lo, hi = window
+    if lo > hi:
+        raise ValueError("need a window with lo <= hi, got (%d, %d)" % (lo, hi))
+    return lo, hi
 
 
 def default_window(n):
@@ -107,9 +115,7 @@ def render(table):
     """Plain-text grid in the style of the source tables; '.' marks zero.
     A column is as wide as its widest label or entry, and each line is
     formatted in one step from the column widths.  A reversed window is refused."""
-    lo, hi = table.window
-    if lo > hi:
-        raise ValueError("need a window with lo <= hi, got (%d, %d)" % (lo, hi))
+    lo, hi = _ordered(table.window)
     labels = [str(p) for p in range(lo, hi + 1)]
     widths = [len(s) for s in labels]
     cells = [(j, p - lo, str(v)) for j, p, v in table.entries if lo <= p <= hi]

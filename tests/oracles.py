@@ -25,6 +25,7 @@ from triplets import (
     reflect,
     solve_alpha,
     strand_starts,
+    validate_triplet,
 )
 from triplets.tables import default_window
 
@@ -175,6 +176,12 @@ def dual_alpha(alpha):
     if values[support[0]] <= 0:
         raise ConsistencyError("dual alpha violates the sign convention")
     return out
+
+
+def interval_triplet(n, B):
+    """T_B = (B, [h, n - b], [c, n - b]) with b = |B| - 1, h = min B, c = n - max B."""
+    top = n - len(B) + 1
+    return validate_triplet(n, B, range(B[0], top + 1), range(n - B[-1], top + 1))
 
 
 def interval_alpha(n, B):
@@ -453,6 +460,18 @@ def pure_zip_ranks(rs, n):
     return tuple(
         (d, comb(n, d) * abs(factor * prod(-d - r for r in rs.roots))) for d in range(n + 1) if -d not in rs.roots
     )
+
+
+def pack(X, n, k):
+    """The prefix counts #(X cap [0, u]), u = 0..n, packed k bits a field,
+    counted u by u: the definition of the packing `core._candidates` builds
+    one element at a time."""
+    members = set(X)
+    packed = count = 0
+    for u in range(n + 1):
+        count += u in members
+        packed |= count << (k * u)
+    return packed
 
 
 def balanced_by_prefix_counts(lo, hi, X, Y):

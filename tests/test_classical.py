@@ -8,6 +8,7 @@ import pytest
 from triplets import (
     ConsistencyError,
     RootSequence,
+    betti,
     buchsbaum_rim,
     eagon_northcott,
     enumerate_triplets,
@@ -20,9 +21,17 @@ from triplets import (
 from triplets import classical
 from triplets.classical import MAX_SIZE
 from triplets.cli import main
-from triplets.tables import MAX_WINDOW_WIDTHS
+from triplets.tables import MAX_WINDOW_WIDTHS, default_window
 
-from oracles import cells, cohomology_row, pure_zip_ranks, supernatural_cells, supernatural_poly, zip_terms
+from oracles import (
+    cells,
+    cohomology_row,
+    interval_triplet,
+    pure_zip_ranks,
+    supernatural_cells,
+    supernatural_poly,
+    zip_terms,
+)
 
 
 def _seeded_sequences(seed, count=150):
@@ -356,10 +365,16 @@ def test_pure_zip_matches_zip_construction():
 def test_triplet_tables_are_supernatural_iff_no_spans():
     """A triplet's default-window table is the supernatural table of the
     negated nondegrees of B, up to one positive factor, exactly when
-    s_H = s_C = 0; checked both ways over every triplet with n <= 6."""
+    s_H = s_C = 0; checked both ways over every triplet with n <= 6.  Its
+    table on (-n - 10, 8) is natural, at most one nonzero row per twist,
+    exactly then too."""
     matched = unmatched = 0
     for n in range(1, 7):
         for t in enumerate_triplets(n):
+            rows = {}
+            for j, p, _ in full_table(t, window=(-n - 10, 8)).entries:
+                rows.setdefault(p - j, set()).add(j)
+            assert all(len(js) == 1 for js in rows.values()) == (t.s_H == t.s_C == 0), t
             table = full_table(t)
             roots = sorted((-d for d in range(n + 1) if d not in t.B), reverse=True)
             sup = supernatural_table(RootSequence(roots, factorial(len(roots))), window=table.window)
@@ -372,3 +387,27 @@ def test_triplet_tables_are_supernatural_iff_no_spans():
             matched += same
             unmatched += not same
     assert (matched, unmatched) == (246, 5353)
+
+
+def test_interval_triplets_are_cm_root_sequences():
+    """The interval triplet T_B of each nonempty B in [0, n], n <= 7, built
+    from B with no enumeration, has s_H = s_C = 0 and is one supernatural
+    sheaf (Eisenbud-Schreyer) and one pure resolution (Herzog-Kuhl): with
+    roots -([0, n] minus B) at their least integral scale, its table is the
+    supernatural table on two windows, and the pure zip complex has degrees
+    B and the ranks of Betti(T_B)."""
+    count = 0
+    for n in range(1, 8):
+        for mask in range(1, 2 ** (n + 1)):
+            B = tuple(e for e in range(n + 1) if mask >> e & 1)
+            t = interval_triplet(n, B)
+            assert t.s_H == t.s_C == 0
+            rs = classical._integral(tuple(-d for d in range(n + 1) if d not in B))
+            for window in (default_window(n), (-n - 10, 8)):
+                assert full_table(t, window=window) == supernatural_table(rs, window=window), (t, window)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = pure_zip(rs, n)
+            assert (report.degrees, report.ranks, report.is_cm) == (B, betti(t).ranks(), True), t
+            count += 1
+    assert count == 501

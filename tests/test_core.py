@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from oracles import balanced_enumeration
+from oracles import balanced_enumeration, pack
 from triplets import (
     HomologyTriplet,
     TripletError,
@@ -213,12 +213,27 @@ def test_enumerate_matches_balanced_oracle(n):
     assert list(enumerate_triplets(n)) == list(balanced_enumeration(n))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_candidates_are_packed_as_defined(n):
+    # Each candidate's packing, built one element at a time, against the
+    # prefix counts of X and of refl X counted point by point; the
+    # candidates are every nonempty subset of [0, n], grouped by min in
+    # lexicographic order, each with its span.
+    k, _, _ = core._packing(n)
+    cands = [c for group in core._candidates(n, k) for c in group]
+    subsets = [ms for r in range(1, n + 2) for ms in itertools.combinations(range(n + 1), r)]
+    assert [X for X, _, _, _ in cands] == sorted(subsets)
+    for X, span, packed, packed_refl in cands:
+        assert span == X[-1] - X[0] + 1 - len(X)
+        assert (packed, packed_refl) == (pack(X, n, k), pack(reflect(X, n), n, k)), X
+
+
 def _packed_agrees(lo, n, Xs, Ys):
     """Whether the packed check of every (X, Y) over [lo, n] equals `balanced`."""
     k, G, T = core._packing(n)
-    pys = [core._pack(Y, n, k) for Y in Ys]
+    pys = [pack(Y, n, k) for Y in Ys]
     for X in Xs:
-        mask = core._balanced_bits(core._pack(X, n, k), pys, G, T[lo])
+        mask = core._balanced_bits(pack(X, n, k), pys, G, T[lo])
         if [mask >> i & 1 == 1 for i in range(len(Ys))] != [balanced(lo, n, X, Y) for Y in Ys]:
             return False
     return True

@@ -24,6 +24,7 @@ from oracles import (
     dual_alpha,
     dual_identity_holds,
     interval_alpha,
+    interval_triplet,
     newton_poly,
     newton_series,
 )
@@ -153,6 +154,32 @@ def test_betti_diagram_accessors(t64):
     assert d.render() == "     0  1  2\n 0:  3 12 12"
 
 
+def test_betti_render_hand_built():
+    # Hand-built diagrams, pinned at their bytes: slope and column labels
+    # wider than every rank, a rank wider than every label, and no entry.
+    assert BettiDiagram(()).render() == "(empty diagram)"
+    assert BettiDiagram(((0, -3, 12345), (2, 5, 1))).render() == (
+        "           0     1     2\n"
+        "   -3: 12345     .     .\n"
+        "   -2:     .     .     .\n"
+        "   -1:     .     .     .\n"
+        "    0:     .     .     .\n"
+        "    1:     .     .     .\n"
+        "    2:     .     .     .\n"
+        "    3:     .     .     1"
+    )
+    assert BettiDiagram(((3, 1, 7), (5, 9, 100000))).render() == (
+        "             3      4      5\n"
+        "    -2:      7      .      .\n"
+        "    -1:      .      .      .\n"
+        "     0:      .      .      .\n"
+        "     1:      .      .      .\n"
+        "     2:      .      .      .\n"
+        "     3:      .      .      .\n"
+        "     4:      .      . 100000"
+    )
+
+
 def test_bad_alpha_rejected(t64):
     from triplets.solver import AlphaVector
 
@@ -235,12 +262,6 @@ def test_to_json_matches_json_dumps():
     for mine, dumped in _json_pairs(t, alpha, diagram):
         assert mine == dumped
     assert len(alpha.to_json()) > 4000
-
-
-def interval_triplet(n, B):
-    """T_B = (B, [h, n - b], [c, n - b]) with b = |B| - 1, h = min B, c = n - max B."""
-    top = n - len(B) + 1
-    return validate_triplet(n, B, range(B[0], top + 1), range(n - B[-1], top + 1))
 
 
 def test_interval_alpha_closed_form_small_n():

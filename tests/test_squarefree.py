@@ -9,12 +9,14 @@ from triplets import (
     betti,
     chi_family,
     enumerate_triplets,
+    full_table,
     reflect,
     rotated_betti_via_strands,
     solve_alpha,
     triplet_betti,
     validate_triplet,
 )
+from triplets.linalg import row_echelon
 
 from oracles import (
     RatPoly,
@@ -200,3 +202,24 @@ def test_reversal_duality():
             dr = betti(t.dual().rotate())
             reversed_multiset = tuple(sorted((n - d, r) for _, d, r in dr.entries))
             assert tuple((d, r) for _, d, r in d2.entries) == reversed_multiset
+
+
+def _span_rank(vectors):
+    """The rank of the int vectors, each a {key: value} dict, over the union of their keys,
+    and the number of those keys."""
+    keys = sorted({k for v in vectors for k in v})
+    return len(row_echelon([[v.get(k, 0) for k in keys] for v in vectors], len(keys))[1]), len(keys)
+
+
+def test_linear_shadow_ranks():
+    # The linear span of the type-n triplets' data, n = 1..5: a cone spanned
+    # by 3, 9, 33, 150, 795 rays lies in this many dimensions.  Betti triples
+    # keyed (diagram, q, twist); default-window tables keyed (row, col).
+    betti_ranks, table_ranks = [], []
+    for n in range(1, 6):
+        ts = list(enumerate_triplets(n))
+        betti_ranks.append(_span_rank([{(k, q, d): r for k, diagram in enumerate(triplet_betti(t))
+                                        for q, d, r in diagram.entries} for t in ts]))
+        table_ranks.append(_span_rank([{(j, p): v for j, p, v in full_table(t).entries} for t in ts])[0])
+    assert betti_ranks == [(3, 9), (9, 18), (21, 30), (36, 45), (54, 63)]
+    assert table_ranks == [3, 8, 17, 30, 47]

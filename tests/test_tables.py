@@ -6,6 +6,7 @@ from triplets import (
     AlphaVector,
     ChiFamily,
     ConsistencyError,
+    HyperTable,
     RootSequence,
     chi_family,
     enumerate_triplets,
@@ -107,6 +108,14 @@ def test_render_refuses_a_reversed_window():
         with pytest.raises(ValueError, match=r"need a window with lo <= hi, got \(%d, %d\)" % window):
             render(hyper_table(window, {}))
     assert render(hyper_table((0, 0), {})) == "---\n0  | d\\i"
+
+
+def test_to_json_refuses_a_reversed_window():
+    # Only render checked the window: to_json printed (5, -5) with an entry outside it.
+    for window in [(5, -5), (0, -1)]:
+        with pytest.raises(ValueError, match=r"^need a window with lo <= hi, got \(%d, %d\)$" % window):
+            HyperTable(window, ((0, 0, 1),)).to_json()
+    assert HyperTable((0, 0), ((0, 0, 1),)).to_json() == '{"window": [0, 0], "entries": [{"row": 0, "col": 0, "dim": 1}]}'
 
 
 def test_window_validation(t64):
