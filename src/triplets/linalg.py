@@ -87,22 +87,17 @@ def nullspace(rows, ncols):
     """Basis of the right nullspace of the int rows: primitive integer
     vectors, each positive in its free column; exact, deterministic order."""
     ech, piv_cols = row_echelon(rows, ncols)
+    # The last pivot d is the determinant of the pivot rows and columns, so by Cramer's
+    # rule d in a free column makes every back-substitution division below exact.
+    d = ech[-1][piv_cols[-1]] if ech else 1
     basis = []
     for f in range(ncols):
         if f in piv_cols:
             continue
         v = [0] * ncols
-        v[f] = 1
-        for r in range(len(piv_cols) - 1, -1, -1):
-            c = piv_cols[r]
-            row = ech[r]
-            s = sum(map(mul, row[c + 1:], v[c + 1:]))
-            p = row[c]
-            k = abs(p) // gcd(s, p)  # scale v so the pivot divides
-            if k != 1:
-                v = [x * k for x in v]
-                s *= k
-            v[c] = -s // p
-        g = gcd(*v)
+        v[f] = d
+        for row, c in zip(ech[::-1], piv_cols[::-1]):
+            v[c] = -sum(map(mul, row[c + 1:], v[c + 1:])) // row[c]
+        g = gcd(*v) if d > 0 else -gcd(*v)
         basis.append(tuple(x // g for x in v))
     return basis

@@ -161,10 +161,15 @@ class BettiDiagram(namedtuple("BettiDiagram", "entries")):
         return '{"twists": %s, "ranks": %s}' % (list(self.twists()), list(self.ranks()))
 
     def render(self):
-        """Macaulay2-style grid: columns = homological index, rows = twist - index."""
+        """Macaulay2-style grid: columns = homological index, rows = twist - index.
+        Two entries at one (index, twist) share a cell, so they are refused."""
         if not self.entries:
             return "(empty diagram)"
-        cells = {(d - i, i): str(r) for i, d, r in self.entries}
+        cells = {}
+        for i, d, r in self.entries:
+            if (d - i, i) in cells:
+                raise ValueError("two entries at index %d, twist %d" % (i, d))
+            cells[d - i, i] = str(r)
         slopes, cols = (range(min(x), max(x) + 1) for x in zip(*cells))
         # The widest label of an int range is at one of its ends.
         width = max(map(len, (*cells.values(), *map(str, (slopes[0], slopes[-1], cols[0], cols[-1])))))

@@ -114,12 +114,15 @@ def _add_row(entries, j, cols, a, start, stop, what):
 def render(table):
     """Plain-text grid in the style of the source tables; '.' marks zero.
     A column is as wide as its widest label or entry, and each line is
-    formatted in one step from the column widths.  A reversed window is refused."""
+    formatted in one step from the column widths.  A reversed window is refused,
+    and so is an entry outside the window."""
     lo, hi = _ordered(table.window)
     labels = [str(p) for p in range(lo, hi + 1)]
     widths = [len(s) for s in labels]
-    cells = [(j, p - lo, str(v)) for j, p, v in table.entries if lo <= p <= hi]
+    cells = [(j, p - lo, str(v)) for j, p, v in table.entries]
     for _, k, s in cells:
+        if not 0 <= k <= hi - lo:
+            raise ValueError("entry in column %d, outside the window (%d, %d)" % (k + lo, lo, hi))
         if len(s) > widths[k]:
             widths[k] = len(s)
     fmt = " ".join(["%%%ds" % w for w in widths])

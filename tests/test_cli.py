@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triplets import ConsistencyError, Overdetermined, enumerate_triplets, triplet_betti, validate_triplet
+from triplets import ConsistencyError, Overdetermined, build_equations, enumerate_triplets, triplet_betti, validate_triplet
 from triplets.cli import EXCERPT, _power_form, _texts, build_parser, main
 from triplets.solver import MAX_N
 from triplets.tables import MAX_WINDOW_WIDTHS
@@ -429,6 +429,14 @@ def test_degeneracy_exit_3(capsys, monkeypatch):
     code, out, err = run(capsys, "solve", *T64_ARGS)
     assert code == 3
     assert "solver degeneracy" in err
+
+
+def test_underdetermined_exit_3(capsys, monkeypatch, t64):
+    # A solution space of dimension 2 is a counterexample, reported on one line.
+    monkeypatch.setattr("triplets.solver.build_equations", lambda t: build_equations(t)[:-1])
+    code, out, err = run(capsys, "solve", *T64_ARGS)
+    assert code == 3 and out == ""
+    assert err == "solver degeneracy: solution space has dimension 2: %r\n" % (t64,)
 
 
 def test_consistency_error_exit_4(capsys, monkeypatch):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -147,12 +147,34 @@ def test_row_echelon_rejects_ragged_and_non_int_rows():
         nullspace([[Fraction(2), 1]], 2)
 
 
+def _primitive(v):
+    """The oracle vector v (1 in its free column) scaled by the lcm of its
+    denominators and divided by its gcd: primitive, positive in its free column."""
+    scale = lcm(*(x.denominator for x in v))
+    w = [int(x * scale) for x in v]
+    g = gcd(*w)
+    return tuple(x // g for x in w)
+
+
 def test_nullspace_random_against_oracle():
     rng = random.Random(20240817)
+    cases = []
     for _ in range(300):
         nrows = rng.randrange(1, 6)
         ncols = rng.randrange(1, 6)
-        rows = [[Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(ncols)] for _ in range(nrows)]
+        cases.append(([[Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(ncols)] for _ in range(nrows)], ncols))
+    # Entries up to 10^6, some with a forced dependent row, so that nullity >= 2
+    # is common and the exact divisions of the back-substitution meet big pivots.
+    rng = random.Random(30)
+    for _ in range(1000):
+        nrows = rng.randrange(1, 6)
+        ncols = rng.randrange(1, 8)
+        rows = [[rng.randrange(-10**6, 10**6 + 1) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.5:
+            a, b = rng.randrange(-9, 10), rng.randrange(-9, 10)
+            rows.append([a * x + b * y for x, y in zip(rng.choice(rows), rng.choice(rows))])
+        cases.append((rows, ncols))
+    for rows, ncols in cases:
         basis = nullspace(int_rows(rows), ncols)
         oracle_basis, rank = _naive_nullspace(rows, ncols)
         assert len(basis) == len(oracle_basis) == ncols - rank
@@ -164,6 +186,8 @@ def test_nullspace_random_against_oracle():
         if basis:
             stacked = int_rows(list(basis) + list(oracle_basis))
             assert len(row_echelon(stacked, ncols)[1]) == len(row_echelon(basis, ncols)[1])
+        # The basis is the oracle's canonical one, vector for vector, made primitive.
+        assert basis == [_primitive(v) for v in oracle_basis]
 
 
 def test_newton_values():

@@ -8,6 +8,8 @@ from triplets import (
     BettiDiagram,
     ConsistencyError,
     HomologyTriplet,
+    Overdetermined,
+    Underdetermined,
     betti,
     build_equations,
     chi_family,
@@ -63,6 +65,27 @@ def test_zero_leading_alpha_is_a_consistency_error(t64, monkeypatch):
     monkeypatch.setattr("triplets.solver.nullspace", lambda rows, ncols: [(0, -1, 1)])
     with pytest.raises(ConsistencyError, match="sign convention violated at q=0"):
         solve_alpha(t64)
+
+
+def test_counterexamples_are_reported(t64, monkeypatch):
+    # A nullity other than 1, or an alpha whose Hilbert polynomial drops below
+    # degree n - b, raises a typed error that names the triplet.
+    monkeypatch.setattr("triplets.solver.build_equations", lambda t: build_equations(t)[:-1])
+    with pytest.raises(Underdetermined) as err:
+        solve_alpha(t64)
+    assert err.value.dim == 2 and err.value.triplet == t64
+    assert str(err.value) == "solution space has dimension 2: %r" % (t64,)
+    monkeypatch.setattr("triplets.solver.build_equations", lambda t: (*build_equations(t), (1, 0, 0)))
+    with pytest.raises(Overdetermined) as err:
+        solve_alpha(t64)
+    assert err.value.triplet == t64 and not hasattr(err.value, "dim")
+    assert str(err.value) == "equation system has no nonzero solution: %r" % (t64,)
+    monkeypatch.undo()
+    # (2, -2, 1) has the right signs, but A_4 = 2 - 2 * 4 + 6 = 0.
+    monkeypatch.setattr("triplets.solver.nullspace", lambda rows, ncols: [(2, -2, 1)])
+    with pytest.raises(ConsistencyError) as err:
+        solve_alpha(t64)
+    assert str(err.value) == "Hilbert polynomial degree != n - b for %r" % (t64,)
 
 
 def test_alpha_vector_shape(t64):
@@ -178,6 +201,15 @@ def test_betti_render_hand_built():
         "     3:      .      .      .\n"
         "     4:      .      . 100000"
     )
+
+
+def test_betti_render_refuses_two_entries_in_one_cell():
+    # Two ranks at one (index, twist) share a cell: the render printed only the last.
+    with pytest.raises(ValueError, match=r"^two entries at index 1, twist 1$"):
+        BettiDiagram(((1, 1, 10), (1, 1, 3))).render()
+    with pytest.raises(ValueError, match=r"^two entries at index 0, twist 2$"):
+        BettiDiagram(((0, 2, 1), (1, 3, 1), (0, 2, 1))).render()
+    assert BettiDiagram(((1, 1, 10), (1, 2, 3))).render() == "     1\n 0: 10\n 1:  3"
 
 
 def test_bad_alpha_rejected(t64):

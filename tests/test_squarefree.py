@@ -17,6 +17,7 @@ from triplets import (
     validate_triplet,
 )
 from triplets.linalg import row_echelon
+from triplets.squarefree import _strand_sum
 
 from oracles import (
     RatPoly,
@@ -129,6 +130,11 @@ def test_strands_cross_check_sweep():
             assert psi_strand_betti(t, fam) == reference[2].entries
             count += 1
     assert count == 5599
+
+
+def test_negative_strand_coefficient_is_reported():
+    with pytest.raises(ConsistencyError, match=r"^negative class coefficients \(0, -1\)$"):
+        _strand_sum(((0, -1),), 2, lambda k: k)
 
 
 def test_psi_strands_give_rotate2_betti(t64):

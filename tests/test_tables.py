@@ -118,6 +118,15 @@ def test_to_json_refuses_a_reversed_window():
     assert HyperTable((0, 0), ((0, 0, 1),)).to_json() == '{"window": [0, 0], "entries": [{"row": 0, "col": 0, "dim": 1}]}'
 
 
+def test_render_refuses_an_entry_outside_the_window():
+    # render dropped such an entry and printed an all-dot row, while to_json prints it.
+    with pytest.raises(ValueError, match=r"^entry in column 5, outside the window \(0, 1\)$"):
+        render(HyperTable((0, 1), ((0, 5, 1),)))
+    with pytest.raises(ValueError, match=r"^entry in column -1, outside the window \(0, 1\)$"):
+        render(HyperTable((0, 1), ((0, -1, 1), (0, 5, 1))))
+    assert HyperTable((0, 1), ((0, 5, 1),)).to_json() == '{"window": [0, 1], "entries": [{"row": 0, "col": 5, "dim": 1}]}'
+
+
 def test_window_validation(t64):
     with pytest.raises(ValueError):
         full_table(t64, window=(-1, 3))  # must contain [-|B|+1, 0]
