@@ -14,7 +14,7 @@ from .classical import (
     tensor_roots,
 )
 from .core import HomologyTriplet, enumerate_triplets, validate_triplet
-from .degsets import balanced, reflect, strand_starts
+from .degsets import balanced, reflect
 from .errors import (
     ConsistencyError,
     DegenerateSystem,

@@ -25,6 +25,8 @@ MAX_SIZE = 1000  # largest n and root count built; the work grows about as size^
 
 
 def _bounded(what, size):
+    if type(size) is not int:  # a bool is refused too
+        raise ValueError("need an integer %s, got %r" % (what, size))
     if not 0 <= size <= MAX_SIZE:
         raise ValueError("need %s %s, got %s" % (what, ">= 0" if size < 0 else "<= %d" % MAX_SIZE, size))
 

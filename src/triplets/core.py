@@ -191,6 +191,8 @@ def enumerate_triplets(n):
         max_n = int(env)
     except ValueError:
         raise ValueError("%s must be an integer, got %r" % (MAX_N_ENV, env)) from None
+    if type(n) is not int:  # a bool is refused too, as in validate_triplet
+        raise ValueError("n must be an integer, got %r" % (n,))
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > max_n:

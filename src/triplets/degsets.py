@@ -1,21 +1,20 @@
-"""Subsets of integer intervals: strands, reflection, balanced pairs.
+"""Subsets of integer intervals: nondegrees, reflection, balanced pairs.
 
 A degree set is a sorted tuple X of integers inside an interval [lo, hi],
 which is passed alongside it.  Its nondegrees are the elements of [lo, hi]
-not in X.  The strand starts are
-lo = x_0 < x_1 < ... < x_s < x_{s+1} = hi + 2 where x_1, ..., x_s are the
-successors of the nondegrees; the i'th strand is the interval
-[x_i, x_{i+1} - 2] (empty exactly when x_i is not in X), and the span is
-s = number of nondegrees.
+not in X; the span s is their number, and they cut X into s + 1 strands,
+the runs between them (empty where two nondegrees are adjacent).  The
+paper's strand starts (lo and the successor of each nondegree) are defined
+in tests/oracles.py, against which the library's cuts are checked.
 """
 
 from operator import le
 
 
-def strand_starts(lo, hi, X):
-    """(lo, successor of each nondegree of X in [lo, hi], hi + 2)."""
+def nondegrees(lo, hi, X):
+    """The elements of [lo, hi] not in X, ascending."""
     members = set(X)
-    return (lo,) + tuple(u + 1 for u in range(lo, hi + 1) if u not in members) + (hi + 2,)
+    return [u for u in range(lo, hi + 1) if u not in members]
 
 
 def reflect(members, n):

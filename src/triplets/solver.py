@@ -12,9 +12,9 @@ Downstream, the Hilbert polynomial is its integer Newton series A (see
 linalg), A_r = sum_i alpha_i C(r, i): the H-rows say A_r = 0 off H, chi_q
 is (-1)^q times the slice of A on the q-th strand of H, and psi_q is the
 same on the series of the dual alpha*_i = (-1)^(|B|-1) alpha_{n-i}.  The
-strands come from degsets.strand_starts on the validated tuples H over
-[h, n-b] and C over [c, n-b].  No polynomial is built: every value and
-identity is read off the integer series.
+series is cut into strands at the nondegrees (degsets.nondegrees) of H over
+[h, n-b] and of C over [c, n-b], the points the rows sit at.  No polynomial
+is built: every value and identity is read off the integer series.
 """
 
 from collections import namedtuple
@@ -22,7 +22,7 @@ from itertools import repeat
 from math import comb
 from operator import mul, neg
 
-from .degsets import strand_starts
+from .degsets import nondegrees
 from .errors import ConsistencyError, Overdetermined, Underdetermined
 from .linalg import newton_series_pair, nullspace
 
@@ -47,16 +47,9 @@ class AlphaVector(namedtuple("AlphaVector", "n support values")):
 
 def build_equations(t):
     n, B, H, C = t
-    hset = set(H)
-    cset = set(C)
     refl = [n - i for i in B]
-    rows = []
-    for r in range(H[0], n + 1):
-        if r not in hset:
-            rows.append(tuple(map(comb, repeat(r), B)))
-    for r in range(C[0], H[-1] + 1):  # n - b = max H
-        if r not in cset:
-            rows.append(tuple(map(comb, repeat(r), refl)))
+    rows = [tuple(map(comb, repeat(r), B)) for r in nondegrees(H[0], n, H)]
+    rows += (tuple(map(comb, repeat(r), refl)) for r in nondegrees(C[0], H[-1], C))  # n - b = max H
     return tuple(rows)
 
 
@@ -96,33 +89,30 @@ class ChiFamily(namedtuple("ChiFamily", "chi_series psi_series flags")):
 
 
 def _truncated_family(lo, hi, X, series, sign, what, t):
-    """chi_q = (-1)^(q + sign) sum_{m_q < i <= m_{q+1}} A_i C(d+i-1, i), where
-    m_q = x_q - 2 for the strand starts x_q of the degree set X in [lo, hi]
-    and m_0 = -1.
+    """chi_q = (-1)^(q + sign) sum_{g_q <= i < g_{q+1}} A_i C(d+i-1, i), where
+    g_1 < ... < g_s are the nondegrees of the degree set X in [lo, hi],
+    g_0 = 0 and g_{s+1} = hi + 1.
 
-    The partial sum up to m_p interpolates the Hilbert polynomial through the
-    points 0..-m_p, so chi_q is the difference of two interpolants, and the
-    alternating sum of the family telescopes to the Hilbert polynomial.
+    The partial sum below g_p interpolates the Hilbert polynomial through the
+    points 0..-(g_p - 1), so chi_q is the difference of two interpolants, and
+    the alternating sum of the family telescopes to the Hilbert polynomial.
     """
-    starts = strand_starts(lo, hi, X)
+    cuts = [0, *nondegrees(lo, hi, X), hi + 1]
     family = []
     flags = []
-    first = 0
-    for q in range(len(starts) - 1):
-        m = starts[q + 1] - 2
-        end = m + 1
+    for q, (first, stop) in enumerate(zip(cuts, cuts[1:])):
+        end = stop
         while end > first and not series[end - 1]:
             end -= 1
         chi = series[first:end]
         if chi:
             chi = (0,) * first + (tuple(map(neg, chi)) if (q + sign) % 2 else chi)
-        if starts[q + 1] == starts[q] + 1:
+        if q and stop == first + 1:  # strand 0 holds lo, even when lo = 0 and the next cut is 1
             if chi:
                 raise ConsistencyError("%s_%d nonzero on an empty strand of %r" % (what, q, t))
-        elif len(chi) - 1 < m:
+        elif end < stop:
             flags.append((what, q))
         family.append(chi)
-        first = m + 1
     return family, flags
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd, lcm, prod
+from operator import mul
 
 from triplets import (
     AlphaVector,
@@ -24,7 +25,6 @@ from triplets import (
     chi_family,
     reflect,
     solve_alpha,
-    strand_starts,
     validate_triplet,
 )
 from triplets.tables import default_window
@@ -474,6 +474,17 @@ def pack(X, n, k):
     return packed
 
 
+def strand_starts(lo, hi, X):
+    """(lo, successor of each nondegree of X in [lo, hi], hi + 2).
+
+    The paper's strand starts lo = x_0 < x_1 < ... < x_s < x_{s+1} = hi + 2:
+    the i'th strand is [x_i, x_{i+1} - 2], empty exactly when x_i is not in
+    X, and s is the number of nondegrees.  Written by set membership, apart
+    from `degsets.nondegrees`, so the two definitions check each other."""
+    members = set(X)
+    return (lo,) + tuple(u + 1 for u in range(lo, hi + 1) if u not in members) + (hi + 2,)
+
+
 def balanced_by_prefix_counts(lo, hi, X, Y):
     """Balance of subsets X, Y of [lo, hi] by its definition: for every u in
     [lo, hi], #(X cap [lo,u]) > #([lo,u] minus Y), counted u by u."""
@@ -640,3 +651,41 @@ def _naive_nullspace(rows, ncols):
             v[c] = -mat[i][f]
         basis.append(tuple(v))
     return basis, len(piv)
+
+
+def rank_mod_p(rows, ncols, p=2**61 - 1):
+    """Rank of an int matrix mod the prime p, by plain Gaussian elimination.
+    It is at most the rank over Q."""
+    mat = [[x % p for x in r] for r in rows]
+    rank = 0
+    for c in range(ncols):
+        k = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if k is None:
+            continue
+        mat[rank], mat[k] = mat[k], mat[rank]
+        inv = pow(mat[rank][c], -1, p)
+        pivot = mat[rank] = [x * inv % p for x in mat[rank]]
+        for i in range(rank + 1, len(mat)):
+            if mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], pivot)]
+        rank += 1
+    return rank
+
+
+def nullity_certificate(rows, v):
+    """Proof, without the Bareiss solve, that the nonzero int vector v spans
+    the kernel of the int rows: every row times v is 0 exactly over Z, and
+    the rank is len(v) - 1.  The rank over Q is at least the rank mod a
+    prime, so 2^61 - 1, then 2^31 - 1, then the Fraction oracle's rank over
+    Q are tried.  Returns the prime, or "Q", that certified it; a failure
+    raises ConsistencyError, a counterexample to uniqueness."""
+    if not any(v) or any(sum(map(mul, row, v)) for row in rows):
+        raise ConsistencyError("%r is not a nonzero kernel vector" % (v,))
+    for p in (2**61 - 1, 2**31 - 1):
+        if rank_mod_p(rows, len(v), p) == len(v) - 1:
+            return p
+    rank = _naive_nullspace(rows, len(v))[1]
+    if rank != len(v) - 1:
+        raise ConsistencyError("rank %d over Q, so the kernel has dimension %d" % (rank, len(v) - rank))
+    return "Q"

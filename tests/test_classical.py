@@ -281,6 +281,11 @@ def test_classical_size_bound_is_inclusive():
         pure_zip(RootSequence(()), MAX_SIZE + 1)
 
 
+def test_pure_zip_refuses_a_bool_n():
+    with pytest.raises(ValueError, match="need an integer n, got True"):
+        pure_zip(RootSequence((-1, -2)), True)
+
+
 def _wide_sequence(delta, seed):
     """Seeded RootSequence of delta roots in [-delta - 10, 10] with an
     integral scale (see _seeded_sequences)."""

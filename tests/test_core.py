@@ -178,6 +178,16 @@ def test_enumerate_guard(monkeypatch):
     assert len(list(enumerate_triplets(3))) == GOLDEN_COUNTS[3]
 
 
+def test_enumerate_refuses_a_bool_n():
+    with pytest.raises(ValueError, match="n must be an integer, got True"):
+        enumerate_triplets(True)
+
+
+def test_enumerate_refuses_a_float_n_when_called():
+    with pytest.raises(ValueError, match=r"n must be an integer, got 3\.0"):
+        enumerate_triplets(3.0)
+
+
 def test_enumerate_default_bound(monkeypatch):
     # Unset, the bound is 9: n = 9 finishes (about 10^6 triplets) and
     # n = 10 is refused when called.

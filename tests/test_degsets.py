@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import balanced_by_prefix_counts, balanced_by_strand_starts
-from triplets import balanced, reflect, strand_starts
+from oracles import balanced_by_prefix_counts, balanced_by_strand_starts, strand_starts
+from triplets import balanced, reflect
+from triplets.degsets import nondegrees
 
 
 def _strands(starts):
@@ -30,6 +31,12 @@ def test_strands_singleton():
     starts = strand_starts(3, 3, (3,))
     assert starts == (3, 5)
     assert _strands(starts) == ((3, 3),)
+
+
+def test_nondegrees_golden():
+    assert nondegrees(2, 11, (2, 3, 5, 9, 10, 11)) == [4, 6, 7, 8]
+    assert nondegrees(0, 4, (0, 1, 2, 3, 4)) == []
+    assert nondegrees(3, 3, (3,)) == []
 
 
 def test_reflect():
@@ -83,10 +90,10 @@ def _degree_set(draw):
 def test_strands_partition_interval(arg):
     lo, hi, X = arg
     starts = strand_starts(lo, hi, X)
-    nondegrees = [u for u in range(lo, hi + 1) if u not in X]
-    assert len(starts) - 2 == len(nondegrees)
+    gaps = nondegrees(lo, hi, X)
+    assert starts == (lo, *(g + 1 for g in gaps), hi + 2)
     covered = []
     for start, end in _strands(starts):
         covered.extend(range(start, end + 1))
     assert sorted(covered) == list(X)
-    assert sorted(covered + nondegrees) == list(range(lo, hi + 1))
+    assert sorted(covered + gaps) == list(range(lo, hi + 1))

@@ -1,6 +1,6 @@
 import random
 
-from oracles import interpolated_chi_family, newton_poly, newton_series, newton_value, sheaf_class_decompose
+from oracles import interpolated_chi_family, newton_poly, newton_series, newton_value, sheaf_class_decompose, strand_starts
 
 from triplets import (
     AlphaVector,
@@ -8,7 +8,6 @@ from triplets import (
     chi_family,
     enumerate_triplets,
     solve_alpha,
-    strand_starts,
     validate_triplet,
 )
 

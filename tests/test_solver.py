@@ -29,6 +29,8 @@ from oracles import (
     interval_triplet,
     newton_poly,
     newton_series,
+    nullity_certificate,
+    rank_mod_p,
 )
 
 
@@ -52,6 +54,36 @@ def test_build_equations_row_count():
     for n in range(1, 7):
         for t in enumerate_triplets(n):
             assert len(build_equations(t)) == len(t.B) - 1
+
+
+def test_every_solve_is_certified_up_to_n_6():
+    # Uniqueness (nullity 1) checked without trusting the Bareiss solve: alpha
+    # is an exact kernel vector and the rank mod a prime is |B| - 1, for all
+    # 5599 triplets with n <= 6.  A failure is a counterexample, reported here.
+    certified, failures = 0, []
+    for n in range(1, 7):
+        for t in enumerate_triplets(n):
+            try:
+                nullity_certificate(build_equations(t), solve_alpha(t).on_support())
+                certified += 1
+            except ConsistencyError as exc:
+                failures.append((t, str(exc)))
+    assert failures == []
+    assert certified == 5599
+
+
+def test_nullity_certificate_controls(t64):
+    rows, v = build_equations(t64), solve_alpha(t64).on_support()
+    assert nullity_certificate(rows, v) == 2**61 - 1
+    # One entry off by one is no kernel vector; a dropped row leaves nullity 2.
+    with pytest.raises(ConsistencyError, match="kernel vector"):
+        nullity_certificate(rows, (v[0] + 1, *v[1:]))
+    assert rank_mod_p(rows[1:], len(v)) == len(v) - 2
+    with pytest.raises(ConsistencyError, match="dimension 2"):
+        nullity_certificate(rows[1:], v)
+    # A rank lost mod 2^61 - 1 is found mod 2^31 - 1; one lost mod both, over Q.
+    assert nullity_certificate([[2**61 - 1, 0]], (0, 1)) == 2**31 - 1
+    assert nullity_certificate([[(2**61 - 1) * (2**31 - 1), 0]], (0, 1)) == "Q"
 
 
 def test_solve_alpha_goldens(t64, t42, t44):

@@ -28,6 +28,8 @@ from oracles import (
     hsq_kpolynomial,
     hsq_of_reduction,
     hsq_series,
+    interval_alpha,
+    interval_triplet,
     psi_strand_betti,
     reduction_kpoly,
     rotation_solved_betti,
@@ -130,6 +132,23 @@ def test_strands_cross_check_sweep():
             assert psi_strand_betti(t, fam) == reference[2].entries
             count += 1
     assert count == 5599
+
+
+def test_strand_cuts_against_the_closed_form_up_to_max_n():
+    # rotate(T_B) and rotate^2(T_B) are general-shape triplets whose Betti
+    # diagrams must equal the chi and psi strand sums of the closed-form alpha
+    # of T_B; their own strands, cut at the nondegrees of B and of reflect(B),
+    # must give the closed form back.  6 seeded B at each n in {20, ..., 100}.
+    rng = random.Random(5)
+    for n in (20, 40, 60, 80, 100):
+        for _ in range(6):
+            B = sorted(rng.sample(range(n + 1), rng.randint(1, n + 1)))
+            T, a = interval_triplet(n, B), interval_alpha(n, B)
+            fam = chi_family(T, a)
+            once, twice = triplet_betti(T.rotate()), triplet_betti(T.rotate().rotate())
+            assert once[0] == rotated_betti_via_strands(T, a, fam), (n, B)
+            assert twice[0] == _strand_sum(fam.psi_series, n, lambda k: k), (n, B)
+            assert once[2] == betti(T, a) == twice[1], (n, B)
 
 
 def test_negative_strand_coefficient_is_reported():
