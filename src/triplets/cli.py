@@ -66,15 +66,6 @@ def _window(text):
     return pair
 
 
-def _add_triplet_args(p):
-    p.add_argument("--n", type=int)
-    p.add_argument("--B", type=_int_list)
-    p.add_argument("--H", type=_int_list)
-    p.add_argument("--C", type=_int_list)
-    p.add_argument("--stdin", action="store_true", help="read JSON triplets, one per line, from stdin")
-    p.add_argument("--json", action="store_true")
-
-
 def _triplets_from(args, parser):
     if args.stdin:
         if (args.n, args.B, args.H, args.C) != (None,) * 4:
@@ -89,11 +80,15 @@ def build_parser():
     parser = Parser(prog="triplets", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
 
-    for name in ("validate", "solve", "betti", "triplet", "rotate", "dual"):
-        _add_triplet_args(sub.add_parser(name))
-    p = sub.add_parser("table")
-    _add_triplet_args(p)
-    p.add_argument("--window", type=_window)
+    for name in ("validate", "solve", "betti", "triplet", "rotate", "dual", "table"):
+        p = sub.add_parser(name)
+        p.add_argument("--n", type=int)
+        p.add_argument("--B", type=_int_list)
+        p.add_argument("--H", type=_int_list)
+        p.add_argument("--C", type=_int_list)
+        p.add_argument("--stdin", action="store_true", help="read JSON triplets, one per line, from stdin")
+        p.add_argument("--json", action="store_true")
+    sub.choices["table"].add_argument("--window", type=_window)
 
     p = sub.add_parser("enumerate")
     p.add_argument("--n", type=int, required=True)
@@ -148,21 +143,12 @@ def _power_form(series):
 def _roots_text(roots, n, as_json):
     """The text `zip` and `classical` print, built whole: the pure zip report
     of the root sequence at n, or the roots alone when n is None."""
+    head = {"roots": roots.roots, "scale": str(roots.scale)}
     if n is None:
-        if as_json:
-            return json.dumps({"roots": list(roots.roots), "scale": str(roots.scale)})
-        return "roots: " + ",".join(map(str, roots.roots))
+        return json.dumps(head) if as_json else "roots: " + ",".join(map(str, roots.roots))
     report = classical.pure_zip(roots, n)
     if as_json:
-        return json.dumps({
-            "roots": list(roots.roots),
-            "scale": str(roots.scale),
-            "n": report.n,
-            "degrees": list(report.degrees),
-            "ranks": list(report.ranks),
-            "is_resolution": report.is_resolution,
-            "is_cm": report.is_cm,
-        })
+        return json.dumps({**head, **report._asdict()})
     return "degrees: %s\nranks: %s\nresolution: %s\ncohen-macaulay: %s" % (
         ",".join(map(str, report.degrees)), ",".join(map(str, report.ranks)), report.is_resolution, report.is_cm)
 

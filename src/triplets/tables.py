@@ -42,9 +42,17 @@ class HyperTable(namedtuple("HyperTable", "window entries")):
         return ('{"window": [%d, %d], "entries": [' + fields + "]}") % (*window, *chain.from_iterable(entries))
 
 
-def _ordered(window):
-    """The window (lo, hi); a reversed window is refused."""
+def _int_ends(window):
+    """The window (lo, hi); ends that are not ints, a bool too, are refused."""
     lo, hi = window
+    if type(lo) is not int or type(hi) is not int:
+        raise ValueError("need a window of integers, got (%r, %r)" % (lo, hi))
+    return lo, hi
+
+
+def _ordered(window):
+    """The window (lo, hi) of ints; a reversed window is refused."""
+    lo, hi = _int_ends(window)
     if lo > hi:
         raise ValueError("need a window with lo <= hi, got (%d, %d)" % (lo, hi))
     return lo, hi
@@ -55,10 +63,10 @@ def default_window(n):
 
 
 def _checked_window(window, n):
-    """(lo, hi), default_window(n) for None; at most MAX_WINDOW_WIDTHS * (n + 12) columns wide."""
+    """(lo, hi) of ints, default_window(n) for None; at most MAX_WINDOW_WIDTHS * (n + 12) columns wide."""
     if window is None:
         return default_window(n)
-    lo, hi = window
+    lo, hi = _int_ends(window)
     widest = MAX_WINDOW_WIDTHS * (n + 12)
     if hi - lo + 1 > widest:
         raise ValueError("need a window of at most %d * (n + 12) = %d columns, got %d"

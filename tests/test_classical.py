@@ -342,6 +342,16 @@ def test_supernatural_window_bound(monkeypatch):
     assert len(runs) == 2
 
 
+def test_supernatural_table_refuses_a_window_of_non_ints(monkeypatch):
+    # range() raised TypeError on a float end; the check is made before any twist is evaluated.
+    runs = []
+    monkeypatch.setattr(classical, "range", lambda *args: runs.append(args) or range(*args), raising=False)
+    for window in [(-2.5, 0), (-2, 0.0), (-2, True), (False, 3)]:
+        with pytest.raises(ValueError, match=r"^need a window of integers, got \(%r, %r\)$" % window):
+            supernatural_table(RootSequence((-1,)), window)
+    assert runs == []
+
+
 def test_non_integral_values_raise():
     rs = RootSequence((-1, -2), scale=Fraction(1, 3))  # P(t) = (t + 1)(t + 2) / 6
     window = (-8, 5)

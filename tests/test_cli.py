@@ -82,6 +82,49 @@ def test_solve_text_digest(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_TEXT_N6_SHA256
 
 
+# Each zip and classical family without --n (zip requires it) and at n = 3 and 6, as text
+# and --json, then the library warning, a non-integral rank and two refused values.
+ROOTS_FAMILIES = [
+    ["zip", "--roots=-1,-2"],
+    ["zip", "--roots=0,-3,-4", "--scale", "5/2"],
+    ["classical", "en", "--w", "3"],
+    ["classical", "br", "--r", "2", "--m", "3"],
+    ["classical", "schur", "--lambda", "2,1,-1"],
+    ["classical", "tensor", "--dims", "2,1", "--weights", "0,3"],
+]
+ROOTS_ARGVS = [
+    [*argv, *flags]
+    for argv in [
+        *([*family, *n] for family in ROOTS_FAMILIES for n in ([], ["--n", "3"], ["--n", "6"]) if n or family[0] != "zip"),
+        ["zip", "--roots=-1,-2,-3", "--n", "1"],
+        ["zip", "--roots=-1,-2", "--scale", "1/3", "--n", "4"],
+        ["zip", "--roots=-1", "--n", "-3"],
+        ["classical", "en", "--w", "1", "--n", "3"],
+    ]
+    for flags in ([], ["--json"])
+]
+# sha256 of the exit code, stdout and stderr of each of ROOTS_ARGVS in turn, as one JSON list each.
+ROOTS_SHA256 = "bba20266baef5a6ca5ad348662c0a139cfb0db97501abfa1ea1989fc99d7cd21"
+
+
+def test_roots_digest(capsys):
+    assert len(ROOTS_ARGVS) == 40
+    digest = hashlib.sha256()
+    for argv in ROOTS_ARGVS:
+        digest.update(json.dumps(run(capsys, *argv)).encode())
+    assert digest.hexdigest() == ROOTS_SHA256
+
+
+def test_triplet_subcommands_take_one_flag_list():
+    sub = build_parser()._subparsers._group_actions[0]
+    names = ["validate", "solve", "betti", "triplet", "rotate", "dual", "table"]
+    assert list(sub.choices)[:7] == names
+    for name in names:
+        flags = [a.option_strings for a in sub.choices[name]._actions]
+        window = [["--window"]] if name == "table" else []
+        assert flags == [["-h", "--help"], ["--n"], ["--B"], ["--H"], ["--C"], ["--stdin"], ["--json"], *window], name
+
+
 @pytest.mark.parametrize("argv", [["enumerate", "--n", "6"], ["solve", "--stdin"]])
 def test_closed_pipe_exits_quietly(argv, tmp_path):
     # The reader takes one line and closes the pipe while output is pending.

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -229,22 +229,90 @@ def test_reversal_duality():
             assert tuple((d, r) for _, d, r in d2.entries) == reversed_multiset
 
 
-def _span_rank(vectors):
-    """The rank of the int vectors, each a {key: value} dict, over the union of their keys,
-    and the number of those keys."""
+def _span_basis(vectors):
+    """A basis of the span of the int vectors, each a {key: value} dict, seen from the other
+    side: the exact row echelon of the matrix with one row per key of their union and one
+    column per vector, each row divided by its gcd.  Its length is the vectors' rank."""
     keys = sorted({k for v in vectors for k in v})
-    return len(row_echelon([[v.get(k, 0) for k in keys] for v in vectors], len(keys))[1]), len(keys)
+    ech, _ = row_echelon([[v.get(k, 0) for v in vectors] for k in keys], len(vectors))
+    return [[x // g for x in row] for row in ech for g in [gcd(*row)]]
+
+
+def _keyings(t):
+    """The default-window table of t and its three data keyings, each a {tagged key: value} dict:
+    A, beta(T) keyed (q, d) and the twists of rotate(T) and rotate^2(T) alone; B, all three
+    diagrams keyed (diagram, q, d); C, beta(T) and the chi and psi strands keyed (q, k),
+    valued a_k C(n, k).  Each key leads with a tag, so no two keyings share a key."""
+    diagrams = triplet_betti(t)
+    beta = {("beta", q, d): r for q, d, r in diagrams[0].entries}
+    alpha = solve_alpha(t)
+    fam = chi_family(t, alpha)
+    return (
+        {("table", j, p): v for j, p, v in full_table(t, alpha, fam=fam).entries},
+        {**beta, **{("twist", k, d): r for k in (1, 2) for _, d, r in diagrams[k].entries}},
+        {("betti", k, q, d): r for k, diagram in enumerate(diagrams) for q, d, r in diagram.entries},
+        {**beta, **{(name, q, k): a * comb(t.n, k) for name, strands in (("chi", fam[0]), ("psi", fam[1]))
+                    for q, series in enumerate(strands) for k, a in enumerate(series) if a}},
+    )
 
 
 def test_linear_shadow_ranks():
     # The linear span of the type-n triplets' data, n = 1..5: a cone spanned
-    # by 3, 9, 33, 150, 795 rays lies in this many dimensions.  Betti triples
-    # keyed (diagram, q, twist); default-window tables keyed (row, col).
-    betti_ranks, table_ranks = [], []
+    # by 3, 9, 33, 150, 795 rays lies in this many dimensions.  The table-to-A map
+    # is linear ([table, A] has the table's rank) but not injective from n = 3 on;
+    # neither B nor C is a function of the table, nor the table of either.
+    ranks = {key: [] for key in ("table", "A", "B", "C", "table+A", "table+B", "table+C")}
+    betti_keys = []
     for n in range(1, 6):
-        ts = list(enumerate_triplets(n))
-        betti_ranks.append(_span_rank([{(k, q, d): r for k, diagram in enumerate(triplet_betti(t))
-                                        for q, d, r in diagram.entries} for t in ts]))
-        table_ranks.append(_span_rank([{(j, p): v for j, p, v in full_table(t).entries} for t in ts])[0])
-    assert betti_ranks == [(3, 9), (9, 18), (21, 30), (36, 45), (54, 63)]
-    assert table_ranks == [3, 8, 17, 30, 47]
+        data = [_keyings(t) for t in enumerate_triplets(n)]
+        table, *bases = (_span_basis([d[i] for d in data]) for i in range(4))
+        ranks["table"].append(len(table))
+        for name, basis in zip("ABC", bases):
+            ranks[name].append(len(basis))
+            # The keyings share no key, so [table, X] has the key rows of both: its rank is
+            # that of the two bases together.
+            ranks["table+" + name].append(len(row_echelon(table + basis, len(data))[1]))
+        betti_keys.append(len({k for d in data for k in d[2]}))
+    assert ranks == {
+        "table": [3, 8, 17, 30, 47],
+        "A": [3, 8, 14, 21, 29], "table+A": [3, 8, 17, 30, 47],
+        "B": [3, 9, 21, 36, 54], "table+B": [3, 9, 24, 45, 72],
+        "C": [3, 9, 18, 30, 45], "table+C": [3, 9, 20, 36, 57],
+    }
+    assert betti_keys == [9, 18, 30, 45, 63]
+
+
+# Seven n = 3 triplets (B, H, C) and coefficients whose A data sum to zero while
+# their default-window tables do not: the table-to-A map has a kernel on the span.
+A_KERNEL_WITNESS = [
+    (-1, ((0,), (0, 1, 2, 3), (3,))),
+    (1, ((0, 1), (0, 1, 2), (2,))),
+    (-2, ((0, 1), (0, 1, 3), (2, 3))),
+    (1, ((0, 1), (0, 2, 3), (2, 3))),
+    (1, ((0, 1, 2), (0, 1), (1,))),
+    (-1, ((0, 1, 2), (0, 2), (1, 2))),
+    (1, ((0, 1, 2), (0, 3), (1, 2, 3))),
+]
+# Their tables' sum, (row, col): dim, row by row over ascending columns.
+A_KERNEL_TABLE_SUM = {
+    **{(-2, p): v for p, v in zip(range(-1, 6), [1, 4, 10, 20, 35, 56, 84])},
+    **{(0, p): v for p, v in zip(range(1, 6), [-1, -4, -10, -20, -35])},
+    **{(1, p): v for p, v in zip(range(-9, -2), [84, 56, 35, 20, 10, 4, 1])},
+    **{(3, p): v for p, v in zip(range(-9, 0), [-165, -120, -84, -56, -35, -20, -10, -4, -1])},
+}
+
+
+def test_table_to_a_kernel_witness():
+    sums = [{}, {}, {}, {}]
+    for coefficient, sets in A_KERNEL_WITNESS:
+        for total, keyed in zip(sums, _keyings(validate_triplet(3, *sets))):
+            for key, v in keyed.items():
+                total[key] = total.get(key, 0) + coefficient * v
+    table, a, b, c = ({key: v for key, v in total.items() if v} for total in sums)
+    assert a == {}
+    assert {(j, p): v for (_, j, p), v in table.items()} == A_KERNEL_TABLE_SUM
+    assert len(A_KERNEL_TABLE_SUM) == 28
+    # B and C, which are not functions of the table, do not vanish on the witness.
+    assert b == {("betti", 1, 0, 2): 3, ("betti", 1, 1, 3): 1, ("betti", 1, 2, 2): -3, ("betti", 1, 3, 3): -1,
+                 ("betti", 2, 0, 3): -1, ("betti", 2, 2, 3): 1}
+    assert c == {("chi", 0, 3): -1, ("chi", 2, 3): 1}

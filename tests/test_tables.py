@@ -118,6 +118,23 @@ def test_to_json_refuses_a_reversed_window():
     assert HyperTable((0, 0), ((0, 0, 1),)).to_json() == '{"window": [0, 0], "entries": [{"row": 0, "col": 0, "dim": 1}]}'
 
 
+NON_INT_WINDOWS = [(0.5, 1), (0, 1.0), (0, True), (False, 1)]
+
+
+def test_render_refuses_a_window_of_non_ints():
+    # range() raised TypeError on a float end.
+    for window in NON_INT_WINDOWS:
+        with pytest.raises(ValueError, match=r"^need a window of integers, got \(%r, %r\)$" % window):
+            render(HyperTable(window, ()))
+
+
+def test_to_json_refuses_a_window_of_non_ints():
+    # %d printed (0.5, 1) as [0, 1].
+    for window in NON_INT_WINDOWS:
+        with pytest.raises(ValueError, match=r"^need a window of integers, got \(%r, %r\)$" % window):
+            HyperTable(window, ((0, 0, 1),)).to_json()
+
+
 def test_render_refuses_an_entry_outside_the_window():
     # render dropped such an entry and printed an all-dot row, while to_json prints it.
     with pytest.raises(ValueError, match=r"^entry in column 5, outside the window \(0, 1\)$"):
@@ -304,6 +321,15 @@ def test_window_containment_is_checked_before_the_solve():
     t = validate_triplet(101, range(102), [0], [0])
     for window in ((0, 1), (5, -5)):
         with pytest.raises(ValueError, match=r"^window must contain \[-101, 0\]$"):
+            full_table(t, window=window)
+
+
+def test_full_table_refuses_a_window_of_non_ints():
+    # (-2, True) came back as the table's window, and (-2.5, 0) raised TypeError in the
+    # evaluation; n = 101 is past the solve bound, so the check is made before the solve.
+    t = validate_triplet(101, range(102), [0], [0])
+    for window in [(-101, True), (-101.0, 0), (-101, 0.5), (True, 0)]:
+        with pytest.raises(ValueError, match=r"^need a window of integers, got \(%r, %r\)$" % window):
             full_table(t, window=window)
 
 
