@@ -15,6 +15,7 @@ import sys
 import warnings
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import islice
 
 from . import classical
 from .core import HomologyTriplet, enumerate_triplets, validate_triplet
@@ -26,6 +27,7 @@ from .tables import full_table, render
 
 USAGE_EXIT = 64
 OUTPUT_CACHE_SIZE = 1024  # distinct --stdin records whose output one run reuses
+ENUMERATE_BLOCK = 4096  # `enumerate` prints its JSON lines joined in blocks of this many
 EXCERPT = 100  # a stderr line is at most EXCERPT + 100 UTF-8 bytes: an input excerpt and its message
 
 
@@ -183,9 +185,11 @@ def _output(cmd, as_json, window, t):
 
 def _texts(args, parser):
     """The chunks the subcommand prints, one `print` each: a `zip`/`classical` report
-    is one chunk built whole, and `enumerate` and the triplet subcommands stream."""
+    is one chunk built whole, `enumerate` streams blocks of ENUMERATE_BLOCK lines,
+    and the triplet subcommands stream one chunk per record."""
     if args.command == "enumerate":
-        return map(HomologyTriplet.to_json, enumerate_triplets(args.n))
+        lines = map(HomologyTriplet.to_json, enumerate_triplets(args.n))
+        return iter(lambda: "\n".join(islice(lines, ENUMERATE_BLOCK)), "")
     if hasattr(args, "make_roots"):  # zip, classical
         return [_roots_text(args.make_roots(args), args.n, args.json)]
     window = getattr(args, "window", None)

@@ -18,14 +18,16 @@ construction or by theorem; the tests check them against `validate_triplet`.
 It walks the candidate subsets in that order, each packed with its
 reflection as prefix counts in one int, so a balance test is one guarded
 subtraction and never calls `balanced`.  For each B, and for each H of an
-h group, it keeps a bitmask of the C of each shape that balance with it,
-and yields the set bits of their meet.  It holds the candidates and those
+h group, it keeps a byte mask of the C of each shape that balance with it,
+and yields the C their meet selects.  It holds the candidates and those
 per-shape masks, and nothing after it ends.
 """
 
 import json
 import os
 from collections import namedtuple
+from itertools import compress
+from operator import and_
 
 from .degsets import balanced, reflect
 from .errors import TripletError
@@ -144,7 +146,7 @@ def _packing(n):
     T[lo] is u - lo + 2 for u >= lo, else 0.  For X, Y inside [lo, n] the
     pair is balanced over [lo, n] exactly when every field of X + Y reaches
     that of T[lo]: a field sum is at most 2n + 2 < 2^(k-1), so the guarded
-    subtraction in `_balanced_bits` lets no carry or borrow cross a field.
+    subtraction in `_balanced_mask` lets no carry or borrow cross a field.
     """
     k = (2 * n + 3).bit_length() + 1
     G = sum(1 << (k * u + k - 1) for u in range(n + 1))
@@ -152,16 +154,9 @@ def _packing(n):
     return k, G, T
 
 
-def _balanced_bits(px, pys, G, T_lo):
-    """Bitmask of the i with (X, Y_i) balanced over [lo, n], from packed X
-    and packed Y_i, all inside [lo, n]."""
-    mask = 0
-    bit = 1
-    for py in pys:
-        if (((px + py) | G) - T_lo) & G == G:
-            mask |= bit
-        bit <<= 1
-    return mask
+def _balanced_mask(px, pys, G, T_lo):
+    """Byte i is 1 where (X, Y_i) is balanced over [lo, n], else 0; packed X and Y_i lie inside [lo, n]."""
+    return bytes([(((px + py) | G) - T_lo) & G == G for py in pys])
 
 
 def _candidates(n, k):
@@ -219,11 +214,8 @@ def _enumerate(n):
             c = n - B[-1]
             rem = n - h - c - i_b  # = b + s_H + s_C
             bc_masks = {}  # shape -> C with (refl B, C) balanced
-            bh = _balanced_bits(pb, packed, G, T[h])
-            while bh:  # each set bit, lowest first, keeps the order lexicographic
-                low = bh & -bh
-                bh ^= low
-                j = low.bit_length() - 1
+            # compress keeps index order, so the order stays lexicographic
+            for j in compress(range(len(group)), _balanced_mask(pb, packed, G, T[h])):
                 H, s_h, _, prh = group[j]
                 b = n - H[-1]
                 key = (c, H[-1], rem - b - s_h)
@@ -233,14 +225,11 @@ def _enumerate(n):
                 Cs, pcs, prcs = shape
                 m1 = bc_masks.get(key)
                 if m1 is None:
-                    m1 = bc_masks[key] = _balanced_bits(prb, pcs, G, T[c])
-                if not m1:
+                    m1 = bc_masks[key] = _balanced_mask(prb, pcs, G, T[c])
+                if not any(m1):
                     continue
                 m2 = hc_masks.get((j, key))
                 if m2 is None:
-                    m2 = hc_masks[j, key] = _balanced_bits(prh, prcs, G, T[b])
-                m = m1 & m2
-                while m:
-                    low = m & -m
-                    m ^= low
-                    yield HomologyTriplet(n, B, H, Cs[low.bit_length() - 1])
+                    m2 = hc_masks[j, key] = _balanced_mask(prh, prcs, G, T[b])
+                for C in compress(Cs, map(and_, m1, m2)):
+                    yield HomologyTriplet(n, B, H, C)

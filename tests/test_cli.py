@@ -217,6 +217,29 @@ def test_enumerate(capsys):
     assert all(d["n"] == 2 for d in seen)
 
 
+# sha256 of what `enumerate --n k` prints for k = 1..6 in turn: all 5599 lines.
+ENUMERATE_N6_SHA256 = "e89283c3873aee1a7facdf97c371db3d44f7c74baa1045ce383dd42f9953ded4"
+
+
+def test_enumerate_digest(capsys):
+    digest = hashlib.sha256()
+    for k in range(1, 7):
+        code, out, err = run(capsys, "enumerate", "--n", str(k))
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    assert digest.hexdigest() == ENUMERATE_N6_SHA256
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2])
+def test_enumerate_blocks_print_every_line_once(capsys, monkeypatch, n, block):
+    # n = 1 and 2 print 3 and 9 lines: blocks of 1 and 3 divide both counts,
+    # 2 and 4 leave a remainder, and 4 holds all of n = 1 in one block.
+    monkeypatch.setattr("triplets.cli.ENUMERATE_BLOCK", block)
+    want = "".join(t.to_json() + "\n" for t in enumerate_triplets(n))
+    assert run(capsys, "enumerate", "--n", str(n)) == (0, want, "")
+
+
 def test_stdin_batch(capsys, monkeypatch):
     lines = (
         '{"n": 4, "B": [0, 1, 2], "H": [0, 2, 4], "C": [2, 3, 4]}\n'

@@ -243,8 +243,8 @@ def _packed_agrees(lo, n, Xs, Ys):
     k, G, T = core._packing(n)
     pys = [pack(Y, n, k) for Y in Ys]
     for X in Xs:
-        mask = core._balanced_bits(pack(X, n, k), pys, G, T[lo])
-        if [mask >> i & 1 == 1 for i in range(len(Ys))] != [balanced(lo, n, X, Y) for Y in Ys]:
+        mask = core._balanced_mask(pack(X, n, k), pys, G, T[lo])
+        if list(map(bool, mask)) != [balanced(lo, n, X, Y) for Y in Ys]:
             return False
     return True
 
