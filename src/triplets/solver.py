@@ -117,18 +117,20 @@ def _truncated_family(lo, hi, X, series, sign, what, t):
 
 
 def chi_family(t, alpha):
-    _, _, H, C = t
+    n, B, H, C = t
     top = H[-1]  # n - b
-    _, support, values = alpha
+    values = alpha.values  # the support is t.B, as in betti and full_table
+    if len(values) != n + 1:
+        raise ValueError("alpha has %d values, need n + 1 = %d" % (len(values), n + 1))
     series, dual = newton_series_pair(values)
     chis, chi_flags = _truncated_family(H[0], top, H, series, 0, "chi", t)
     # The slices tile [0, n-b], so each family sums to its polynomial iff
     # A vanishes above n-b; P*(d) = +-P(-n-d) has the same degree as P.
     if any(series[top + 1:]):
         raise ConsistencyError("chi family does not sum to its Hilbert polynomial for %r" % (t,))
-    # The dual alpha*_i = (-1)^sign alpha_{n-i} is positive at n - max(support).
-    sign = 1 - len(support) % 2
-    if (-1) ** sign * values[max(support)] <= 0:
+    # The dual alpha*_i = (-1)^sign alpha_{n-i} is positive at n - max B.
+    sign = 1 - len(B) % 2
+    if (-1) ** sign * values[B[-1]] <= 0:
         raise ConsistencyError("dual alpha violates the sign convention")
     # The dual triplet has H* = C and the same b; psi_q carries the dual's sign.
     psis, psi_flags = _truncated_family(C[0], top, C, dual, sign, "psi", t)

@@ -469,9 +469,9 @@ def test_usage_errors_exit_64(capsys, monkeypatch):
     assert exc.value.code == 64
 
 
-def test_value_errors_exit_64(capsys, monkeypatch):
+def test_value_errors_exit_64(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "99")
-    assert code == 64 and "TRIPLETS_MAX_N" in err
+    assert code == 64 and "exceeds bound 9" in err
     code, _, err = run(capsys, "classical", "en", "--w", "1")
     assert code == 64
     code, _, err = run(capsys, "zip", "--roots=1,2", "--n", "3")
@@ -480,9 +480,6 @@ def test_value_errors_exit_64(capsys, monkeypatch):
     assert code == 64 and out == "" and "n >= 0" in err
     code, out, err = run(capsys, "classical", "en", "--w", "3", "--n", "-1")
     assert code == 64 and out == "" and "n >= 0" in err
-    monkeypatch.setenv("TRIPLETS_MAX_N", "abc")
-    code, out, err = run(capsys, "enumerate", "--n", "3")
-    assert code == 64 and out == "" and "TRIPLETS_MAX_N" in err
 
 
 def test_degeneracy_exit_3(capsys, monkeypatch):

@@ -1,7 +1,8 @@
 """A `triplets` process imports no more of the standard library than it
 uses: the value types are named tuples, so neither `dataclasses` nor the
 `inspect` it pulls in is loaded.  And every library call starts cold: no
-module but `cli`, whose output cache lives for one run, memoizes."""
+module but `cli`, whose output cache lives for one run, memoizes, and no
+module reads the environment, so every bound is a module constant."""
 
 import ast
 import os
@@ -27,20 +28,29 @@ def test_no_module_imports_dataclasses():
     assert [p.name for p in paths if _imports_dataclasses(ast.parse(p.read_text(), filename=str(p)))] == []
 
 
-def _memo_names(tree):
-    """The functools memo decorators a tree names, imported or as attributes."""
-    memos = {"lru_cache", "cache", "cached_property"}
+def _names(path):
+    """The names a module imports, reads, or reads as attributes."""
+    tree = ast.parse(path.read_text(), filename=str(path))
     names = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
     names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    return sorted(names & memos)
+    return names
+
+
+def _found(wanted):
+    """{module file: the sorted names from `wanted` that it names}, for the modules that name any."""
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    found = {p.name: sorted(_names(p) & wanted) for p in paths}
+    return {name: hits for name, hits in found.items() if hits}
 
 
 def test_only_cli_memoizes():
-    paths = sorted(SRC.glob("*.py"))
-    assert len(paths) >= 10
-    found = {p.name: _memo_names(ast.parse(p.read_text(), filename=str(p))) for p in paths}
-    assert {name: memos for name, memos in found.items() if memos} == {"cli.py": ["lru_cache"]}
+    assert _found({"lru_cache", "cache", "cached_property"}) == {"cli.py": ["lru_cache"]}
+
+
+def test_no_module_reads_the_environment():
+    assert _found({"environ", "environb", "getenv", "putenv"}) == {}
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

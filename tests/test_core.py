@@ -112,9 +112,8 @@ def test_enumerate_is_lazy(monkeypatch):
     t = next(iter(enumerate_triplets(8)))
     assert built == [t]  # one triplet built, not the 175560 of the census
     assert (t.B, t.H, t.C) == ((0,), tuple(range(9)), (8,))
-    monkeypatch.setenv("TRIPLETS_MAX_N", "8")
     with pytest.raises(ValueError):
-        enumerate_triplets(9)  # raised by the call, before any next()
+        enumerate_triplets(core.ENUMERATE_MAX_N + 1)  # raised by the call, before any next()
 
 
 def brute_force_triplets(n):
@@ -171,10 +170,10 @@ def test_enumerate_guard(monkeypatch):
         enumerate_triplets(0)
     with pytest.raises(ValueError):
         enumerate_triplets(13)
-    monkeypatch.setenv("TRIPLETS_MAX_N", "2")
+    monkeypatch.setattr(core, "ENUMERATE_MAX_N", 2)
     with pytest.raises(ValueError):
         enumerate_triplets(3)
-    monkeypatch.setenv("TRIPLETS_MAX_N", "3")
+    monkeypatch.setattr(core, "ENUMERATE_MAX_N", 3)
     assert len(list(enumerate_triplets(3))) == GOLDEN_COUNTS[3]
 
 
@@ -188,11 +187,10 @@ def test_enumerate_refuses_a_float_n_when_called():
         enumerate_triplets(3.0)
 
 
-def test_enumerate_default_bound(monkeypatch):
-    # Unset, the bound is 9: n = 9 finishes (about 10^6 triplets) and
-    # n = 10 is refused when called.
-    monkeypatch.delenv("TRIPLETS_MAX_N", raising=False)
-    assert core.DEFAULT_MAX_N == 9
+def test_enumerate_default_bound():
+    # The bound is 9: n = 9 finishes (about 10^6 triplets) and n = 10 is
+    # refused when called.
+    assert core.ENUMERATE_MAX_N == 9
     next(iter(enumerate_triplets(9)))
     with pytest.raises(ValueError, match="exceeds bound 9"):
         enumerate_triplets(10)

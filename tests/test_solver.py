@@ -166,6 +166,19 @@ def test_chi_family_goldens(t64):
     assert fam.flags == ()
 
 
+def test_chi_family_takes_only_values_from_alpha(t64):
+    # A support that disagrees with B changes nothing: B is read from t.
+    a = solve_alpha(t64)
+    assert chi_family(t64, a._replace(support=(0, 1))) == chi_family(t64, a)
+
+
+def test_chi_family_refuses_values_of_the_wrong_length(t64):
+    a = solve_alpha(t64)
+    for values in (a.values[:-1], a.values + (0,)):  # n and n + 2 values
+        with pytest.raises(ValueError, match=r"alpha has \d values, need n \+ 1 = 5"):
+            chi_family(t64, a._replace(values=values))
+
+
 def test_chi_single_strand():
     # H = [h, n-b] in one strand: chi_0 is the Hilbert polynomial itself.
     t = validate_triplet(3, [0], [0, 1, 2, 3], [3])
