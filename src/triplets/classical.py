@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, prod
 
 from .errors import ConsistencyError
-from .tables import HyperTable, _checked_window, _ordered
+from .tables import HyperTable, _checked_window
 
 MAX_SIZE = 1000  # largest n and root count built; the work grows about as size^3
 
@@ -81,7 +81,7 @@ def supernatural_table(rs, window=None):
     window is bounded as full_table's is, with delta in the role of n, and
     a reversed one is refused.
     """
-    window = lo, hi = _ordered(_checked_window(window, rs.delta))
+    window = lo, hi = _checked_window(window, rs.delta)
     roots = rs.roots
     i = rs.delta  # roots[i - 1] is the least root above t
     rows, twists = [], []

@@ -105,21 +105,15 @@ def build_parser():
 
     p = sub.add_parser("classical")
     csub = p.add_subparsers(dest="family", required=True, parser_class=Parser)
-    q = csub.add_parser("en")
-    q.add_argument("--w", type=int, required=True)
-    q.set_defaults(make_roots=lambda a: classical.eagon_northcott(a.w))
-    q = csub.add_parser("br")
-    q.add_argument("--r", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    q.set_defaults(make_roots=lambda a: classical.buchsbaum_rim(a.r, a.m))
-    q = csub.add_parser("schur")
-    q.add_argument("--lambda", dest="lam", type=_int_list, required=True)
-    q.set_defaults(make_roots=lambda a: classical.schur_roots(a.lam))
-    q = csub.add_parser("tensor")
-    q.add_argument("--dims", type=_int_list, required=True)
-    q.add_argument("--weights", type=_int_list, required=True)
-    q.set_defaults(make_roots=lambda a: classical.tensor_roots(a.dims, a.weights))
-    for q in csub.choices.values():
+    # One row per family: its subcommand, its constructor, and the (flag, type) pairs passed to it in order.
+    for name, build, flags in [("en", classical.eagon_northcott, [("w", int)]),
+                               ("br", classical.buchsbaum_rim, [("r", int), ("m", int)]),
+                               ("schur", classical.schur_roots, [("lambda", _int_list)]),
+                               ("tensor", classical.tensor_roots, [("dims", _int_list), ("weights", _int_list)])]:
+        q = csub.add_parser(name)
+        for flag, kind in flags:
+            q.add_argument("--" + flag, type=kind, required=True)
+        q.set_defaults(make_roots=lambda a, build=build, flags=flags: build(*(getattr(a, f) for f, _ in flags)))
         q.add_argument("--n", type=int)
         q.add_argument("--json", action="store_true")
     return parser

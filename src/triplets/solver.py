@@ -116,12 +116,18 @@ def _truncated_family(lo, hi, X, series, sign, what, t):
     return family, flags
 
 
+def _alpha_values(t, alpha):
+    """alpha.values, refused unless there are n + 1 of them; its readers take the support from t.B."""
+    values = alpha.values
+    if len(values) != t.n + 1:
+        raise ValueError("alpha has %d values, need n + 1 = %d" % (len(values), t.n + 1))
+    return values
+
+
 def chi_family(t, alpha):
-    n, B, H, C = t
+    _, B, H, C = t
     top = H[-1]  # n - b
-    values = alpha.values  # the support is t.B, as in betti and full_table
-    if len(values) != n + 1:
-        raise ValueError("alpha has %d values, need n + 1 = %d" % (len(values), n + 1))
+    values = _alpha_values(t, alpha)
     series, dual = newton_series_pair(values)
     chis, chi_flags = _truncated_family(H[0], top, H, series, 0, "chi", t)
     # The slices tile [0, n-b], so each family sums to its polynomial iff
@@ -175,7 +181,7 @@ def betti(t, alpha=None):
     if alpha is None:
         alpha = solve_alpha(t)
     n, B, _, _ = t
-    values = alpha.values
+    values = _alpha_values(t, alpha)
     entries = []
     for q, d in enumerate(B):
         rank = comb(n, d) * (-values[d] if q % 2 else values[d])

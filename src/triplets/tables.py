@@ -19,7 +19,7 @@ from operator import itemgetter
 
 from .errors import ConsistencyError
 from .linalg import newton_values
-from .solver import chi_family, solve_alpha
+from .solver import _alpha_values, chi_family, solve_alpha
 
 DOT = "."
 MAX_WINDOW_WIDTHS = 4  # widest full_table window, in default widths n + 12: every column is held and rendered
@@ -38,21 +38,15 @@ class HyperTable(namedtuple("HyperTable", "window entries")):
         """The bytes json.dumps gives for {"window": [..], "entries": [{"row", "col", "dim"}, ..]},
         formatted in one step: one field triple per entry."""
         window, entries = _ordered(self.window), self.entries
-        fields = ", ".join(['{"row": %d, "col": %d, "dim": %d}'] * len(entries))
+        fields = ", ".join(['{"row": %s, "col": %s, "dim": %s}'] * len(entries))
         return ('{"window": [%d, %d], "entries": [' + fields + "]}") % (*window, *chain.from_iterable(entries))
 
 
-def _int_ends(window):
-    """The window (lo, hi); ends that are not ints, a bool too, are refused."""
+def _ordered(window):
+    """The window (lo, hi) of ints, lo <= hi; an end that is not an int, a bool too, is refused."""
     lo, hi = window
     if type(lo) is not int or type(hi) is not int:
         raise ValueError("need a window of integers, got (%r, %r)" % (lo, hi))
-    return lo, hi
-
-
-def _ordered(window):
-    """The window (lo, hi) of ints; a reversed window is refused."""
-    lo, hi = _int_ends(window)
     if lo > hi:
         raise ValueError("need a window with lo <= hi, got (%d, %d)" % (lo, hi))
     return lo, hi
@@ -63,10 +57,10 @@ def default_window(n):
 
 
 def _checked_window(window, n):
-    """(lo, hi) of ints, default_window(n) for None; at most MAX_WINDOW_WIDTHS * (n + 12) columns wide."""
+    """_ordered(window), default_window(n) for None; at most MAX_WINDOW_WIDTHS * (n + 12) columns wide."""
     if window is None:
         return default_window(n)
-    lo, hi = _int_ends(window)
+    lo, hi = _ordered(window)
     widest = MAX_WINDOW_WIDTHS * (n + 12)
     if hi - lo + 1 > widest:
         raise ValueError("need a window of at most %d * (n + 12) = %d columns, got %d"
@@ -87,7 +81,7 @@ def full_table(t, alpha=None, window=None, fam=None):
     if fam is None:
         fam = chi_family(t, alpha)
     chi_series, psi_series, _ = fam
-    a = alpha.values
+    a = _alpha_values(t, alpha)
     entries = []
     for q, d in enumerate(B):
         v = -a[d] if q % 2 else a[d]

@@ -11,6 +11,7 @@ and the zip and Tate terms read off a table's cells.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from hashlib import blake2b
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
@@ -419,6 +420,21 @@ def rotation_solved_betti(t):
         diagrams.append(betti(cur, solve_alpha(cur)))
         cur = cur.rotate()
     return tuple(diagrams)
+
+
+def rotation_digests(records):
+    """Three order-free digests of one census, records (T, (Betti T, chi-strand Betti of T,
+    psi-strand Betti of T)) as triplet_betti gives them: the sums mod 2^64 of h(T, Betti T),
+    h(rotate T, chi strands of T) and h(rotate^2 T, psi strands of T), h the 8-byte blake2b
+    of the pair's repr.  rotate is a bijection on the type-n triplets, so over a whole census
+    the three sums are equal when Betti(rotate T) and Betti(rotate^2 T) are the strand sums
+    for every T; a fault escapes with chance about 2^-64.  Nothing is held across records."""
+    sums = [0, 0, 0]
+    for t, diagrams in records:
+        for k, (u, d) in enumerate(zip((t, t.rotate(), t.rotate().rotate()), diagrams)):
+            h = blake2b(repr((u, d.entries)).encode(), digest_size=8).digest()
+            sums[k] = (sums[k] + int.from_bytes(h, "big")) % 2**64
+    return tuple(sums)
 
 
 def supernatural_poly(rs):

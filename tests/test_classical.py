@@ -274,11 +274,16 @@ def test_classical_size_bound(capsys, argv):
     assert "<= %d, got " % MAX_SIZE in captured.err
 
 
-def test_classical_size_bound_is_inclusive():
+def test_classical_size_bound_is_inclusive(monkeypatch):
     assert RootSequence(tuple(range(-1, -MAX_SIZE - 1, -1))).delta == MAX_SIZE
     assert len(pure_zip(RootSequence(()), MAX_SIZE).degrees) == MAX_SIZE + 1
     with pytest.raises(ValueError, match="need n <= %d, got %d" % (MAX_SIZE, MAX_SIZE + 1)):
         pure_zip(RootSequence(()), MAX_SIZE + 1)
+    # tensor_roots bounds its root count sum (w_i - 1), not sum w_i.
+    monkeypatch.setattr(classical, "MAX_SIZE", 2)
+    assert tensor_roots((3,), (0,)).roots == (-1, -2)
+    with pytest.raises(ValueError, match=r"^need root count <= 2, got 3$"):
+        tensor_roots((4,), (0,))
 
 
 def test_pure_zip_refuses_a_bool_n():

@@ -14,6 +14,7 @@ from triplets import (
     build_equations,
     chi_family,
     enumerate_triplets,
+    full_table,
     solve_alpha,
     validate_triplet,
 )
@@ -179,6 +180,16 @@ def test_chi_family_refuses_values_of_the_wrong_length(t64):
             chi_family(t64, a._replace(values=values))
 
 
+def test_betti_and_full_table_refuse_values_of_the_wrong_length(t64):
+    # Both took n or n + 2 values, and raised IndexError on values that stop before max B.
+    a = solve_alpha(t64)
+    fam = chi_family(t64, a)
+    for values in (a.values[:-1], a.values + (0,), a.values[:2]):
+        for build in (betti, lambda t, alpha: full_table(t, alpha, fam=fam)):
+            with pytest.raises(ValueError, match=r"^alpha has \d values, need n \+ 1 = 5$"):
+                build(t64, a._replace(values=values))
+
+
 def test_chi_single_strand():
     # H = [h, n-b] in one strand: chi_0 is the Hilbert polynomial itself.
     t = validate_triplet(3, [0], [0, 1, 2, 3], [3])
@@ -270,6 +281,9 @@ def test_bad_alpha_rejected(t64):
         chi_family(t64, bad)
     with pytest.raises(ConsistencyError):
         betti(t64, bad)
+    # A zero on the support gives beta_1 = 0, which is not a Betti number.
+    with pytest.raises(ConsistencyError, match=r"^nonpositive Betti number at q=1 for "):
+        betti(t64, AlphaVector(4, (0, 1, 2), (3, 0, 2, 0, 0)))
 
 
 def test_dual_series_is_the_reversed_half_of_the_pair(t64):

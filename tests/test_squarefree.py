@@ -32,6 +32,7 @@ from oracles import (
     interval_triplet,
     psi_strand_betti,
     reduction_kpoly,
+    rotation_digests,
     rotation_solved_betti,
     sheaf_class_decompose,
 )
@@ -132,6 +133,32 @@ def test_strands_cross_check_sweep():
             assert psi_strand_betti(t, fam) == reference[2].entries
             count += 1
     assert count == 5599
+
+
+def _rotations_agree(records):
+    """Criterion 6's dict-based check, for the chi strands and the psi strands."""
+    diagrams = {t: d[0].entries for t, d in records}
+    return all(d[1].entries == diagrams[t.rotate()] and d[2].entries == diagrams[t.rotate().rotate()]
+               for t, d in records)
+
+
+def test_rotation_digests_agree_with_the_dict_check():
+    # Over each census n <= 6 the three digests are equal, as the dict check holds.  Control:
+    # one rank raised by one in one diagram of one triplet changes that diagram's sum, and
+    # the dict check fails with it.
+    for n in range(1, 7):
+        records = [(t, triplet_betti(t)) for t in enumerate_triplets(n)]
+        sums = rotation_digests(records)
+        assert _rotations_agree(records)
+        assert sums[0] == sums[1] == sums[2], n
+    for i, k in ((0, 0), (1000, 1), (4608, 2)):
+        t, diagrams = records[i]
+        d = list(diagrams)
+        (q, twist, rank), *rest = d[k].entries
+        d[k] = d[k]._replace(entries=((q, twist, rank + 1), *rest))
+        faulty = records[:i] + [(t, tuple(d))] + records[i + 1:]
+        assert [b != s for b, s in zip(rotation_digests(faulty), sums)] == [j == k for j in range(3)]
+        assert not _rotations_agree(faulty)
 
 
 def test_strand_cuts_against_the_closed_form_up_to_max_n():

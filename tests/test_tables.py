@@ -94,6 +94,7 @@ def test_table_json_matches_json_dumps(t64, t42, t64_table, ip1_table):
     roots += [eagon_northcott(w) for w in range(2, 6)] + [RootSequence(schur_roots((1, 0)).roots, scale=2)]
     tables += [supernatural_table(rs) for rs in roots] + [supernatural_table(roots[1], window=(-2, 2))]
     tables.append(hyper_table((0, 2), {}))
+    tables.append(HyperTable((0, 0), ((0, 0, 5.5),)))  # %d printed the dim as 5
     for tab in tables:
         assert tab.to_json() == _old_to_json(tab)
 
@@ -141,6 +142,9 @@ def test_render_refuses_an_entry_outside_the_window():
         render(HyperTable((0, 1), ((0, 5, 1),)))
     with pytest.raises(ValueError, match=r"^entry in column -1, outside the window \(0, 1\)$"):
         render(HyperTable((0, 1), ((0, -1, 1), (0, 5, 1))))
+    # The column is named, not its offset from lo.
+    with pytest.raises(ValueError, match=r"^entry in column 5, outside the window \(-2, 1\)$"):
+        render(HyperTable((-2, 1), ((0, 5, 1),)))
     assert HyperTable((0, 1), ((0, 5, 1),)).to_json() == '{"window": [0, 1], "entries": [{"row": 0, "col": 5, "dim": 1}]}'
 
 
@@ -317,11 +321,12 @@ def test_negative_dual_entry(t64):
 
 def test_window_containment_is_checked_before_the_solve():
     # n = 101 is past the solve bound, so only a check made before the solve reaches its own message.
-    # A reversed window gets the same message.
+    # A reversed window gets the message render, to_json and supernatural_table give.
     t = validate_triplet(101, range(102), [0], [0])
-    for window in ((0, 1), (5, -5)):
-        with pytest.raises(ValueError, match=r"^window must contain \[-101, 0\]$"):
-            full_table(t, window=window)
+    with pytest.raises(ValueError, match=r"^window must contain \[-101, 0\]$"):
+        full_table(t, window=(0, 1))
+    with pytest.raises(ValueError, match=r"^need a window with lo <= hi, got \(5, -5\)$"):
+        full_table(t, window=(5, -5))
 
 
 def test_full_table_refuses_a_window_of_non_ints():
