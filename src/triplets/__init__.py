@@ -15,13 +15,7 @@ from .classical import (
 )
 from .core import HomologyTriplet, enumerate_triplets, validate_triplet
 from .degsets import balanced, reflect
-from .errors import (
-    ConsistencyError,
-    DegenerateSystem,
-    Overdetermined,
-    TripletError,
-    Underdetermined,
-)
+from .errors import ConsistencyError, DegenerateSystem, TripletError
 from .linalg import nullspace
 from .solver import (
     AlphaVector,

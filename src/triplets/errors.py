@@ -20,19 +20,10 @@ class ConsistencyError(Exception):
 
 
 class DegenerateSystem(Exception):
-    """The equation system of a triplet does not have a 1-dim nullspace."""
+    """The equation system of a triplet has a nullspace of dimension `dim` != 1."""
 
-    def __init__(self, triplet, message):
-        self.triplet = triplet
-        super().__init__(message)
-
-
-class Overdetermined(DegenerateSystem):
-    def __init__(self, triplet):
-        super().__init__(triplet, "equation system has no nonzero solution: %r" % (triplet,))
-
-
-class Underdetermined(DegenerateSystem):
     def __init__(self, triplet, dim):
+        self.triplet = triplet
         self.dim = dim
-        super().__init__(triplet, "solution space has dimension %d: %r" % (dim, triplet))
+        super().__init__("equation system has no nonzero solution: %r" % (triplet,) if dim == 0
+                         else "solution space has dimension %d: %r" % (dim, triplet))

@@ -23,7 +23,7 @@ from math import comb
 from operator import mul, neg
 
 from .degsets import nondegrees
-from .errors import ConsistencyError, Overdetermined, Underdetermined
+from .errors import ConsistencyError, DegenerateSystem
 from .linalg import newton_series_pair, nullspace
 
 MAX_N = 100  # largest n solved: the slowest shape found takes about 0.8 s at n = 100 and grows about as n^7
@@ -59,10 +59,8 @@ def solve_alpha(t):
     if n > MAX_N:
         raise ValueError("need n <= %d to solve, got %s" % (MAX_N, n))
     basis = nullspace(build_equations(t), len(B))
-    if not basis:
-        raise Overdetermined(t)
-    if len(basis) > 1:
-        raise Underdetermined(t, len(basis))
+    if len(basis) != 1:
+        raise DegenerateSystem(t, len(basis))
     prim = basis[0]  # primitive already; a zero alpha_{d_0} fails the sign check below
     if prim[0] < 0:
         prim = [-x for x in prim]

@@ -423,16 +423,20 @@ def rotation_solved_betti(t):
 
 
 def rotation_digests(records):
-    """Three order-free digests of one census, records (T, (Betti T, chi-strand Betti of T,
+    """Four order-free digests of one census, records (T, (Betti T, chi-strand Betti of T,
     psi-strand Betti of T)) as triplet_betti gives them: the sums mod 2^64 of h(T, Betti T),
-    h(rotate T, chi strands of T) and h(rotate^2 T, psi strands of T), h the 8-byte blake2b
-    of the pair's repr.  rotate is a bijection on the type-n triplets, so over a whole census
-    the three sums are equal when Betti(rotate T) and Betti(rotate^2 T) are the strand sums
-    for every T; a fault escapes with chance about 2^-64.  Nothing is held across records."""
-    sums = [0, 0, 0]
+    h(rotate T, chi strands of T), h(rotate^2 T, psi strands of T) and h(dual T, Betti T
+    reflected), h the 8-byte blake2b of the pair's repr; Betti T reflected reads its entries
+    backwards, entry k becoming (k, n - d, r).  rotate and dual are bijections on the type-n
+    triplets, so over a whole census the four sums are equal when Betti(rotate T) and
+    Betti(rotate^2 T) are the strand sums and Betti(dual T) is Betti T reflected, for every T;
+    a fault escapes with chance about 2^-64.  Nothing is held across records."""
+    sums = [0, 0, 0, 0]
     for t, diagrams in records:
-        for k, (u, d) in enumerate(zip((t, t.rotate(), t.rotate().rotate()), diagrams)):
-            h = blake2b(repr((u, d.entries)).encode(), digest_size=8).digest()
+        reflected = tuple((k, t.n - d, r) for k, (_, d, r) in enumerate(reversed(diagrams[0].entries)))
+        keys = (t, t.rotate(), t.rotate().rotate(), t.dual())
+        for k, pair in enumerate(zip(keys, (*(d.entries for d in diagrams), reflected))):
+            h = blake2b(repr(pair).encode(), digest_size=8).digest()
             sums[k] = (sums[k] + int.from_bytes(h, "big")) % 2**64
     return tuple(sums)
 

@@ -23,7 +23,7 @@ def unused_definitions(src, perfbench):
 
     Names are matched by name only, so a definition shares its uses with
     everything else of the same name: a dead method named like a live one
-    (say a `dim` next to `Underdetermined.dim`) is not found.  An import in
+    (say a `dim` next to `DegenerateSystem.dim`) is not found.  An import in
     `__init__.py` is no ast.Name, so a re-export is not a use."""
     paths = sorted(src.glob("*.py")) + sorted(perfbench.glob("*.py"))
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}

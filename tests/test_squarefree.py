@@ -143,21 +143,25 @@ def _rotations_agree(records):
 
 
 def test_rotation_digests_agree_with_the_dict_check():
-    # Over each census n <= 6 the three digests are equal, as the dict check holds.  Control:
-    # one rank raised by one in one diagram of one triplet changes that diagram's sum, and
-    # the dict check fails with it.
+    # Over each census n <= 6 the four digests are equal, as the dict check holds.  Control:
+    # one rank raised by one in one diagram of one triplet changes that diagram's sum (and,
+    # for Betti T, the dual sum, which reads Betti T reflected), the changed sums no longer
+    # agree with the rest, and the dict check fails with it.
     for n in range(1, 7):
         records = [(t, triplet_betti(t)) for t in enumerate_triplets(n)]
         sums = rotation_digests(records)
         assert _rotations_agree(records)
-        assert sums[0] == sums[1] == sums[2], n
+        assert sums[0] == sums[1] == sums[2] == sums[3], n
     for i, k in ((0, 0), (1000, 1), (4608, 2)):
         t, diagrams = records[i]
         d = list(diagrams)
         (q, twist, rank), *rest = d[k].entries
         d[k] = d[k]._replace(entries=((q, twist, rank + 1), *rest))
         faulty = records[:i] + [(t, tuple(d))] + records[i + 1:]
-        assert [b != s for b, s in zip(rotation_digests(faulty), sums)] == [j == k for j in range(3)]
+        faulty_sums = rotation_digests(faulty)
+        changed = (0, 3) if k == 0 else (k,)
+        assert [b != s for b, s in zip(faulty_sums, sums)] == [j in changed for j in range(4)]
+        assert len(set(faulty_sums)) == len(changed) + 1
         assert not _rotations_agree(faulty)
 
 
