@@ -31,6 +31,12 @@ def _bounded(what, size):
         raise ValueError("need %s %s, got %s" % (what, ">= 0" if size < 0 else "<= %d" % MAX_SIZE, size))
 
 
+def _integers(**params):  # each parameter an int or a tuple of ints; a bool is refused too
+    for what, value in params.items():
+        if any(type(v) is not int for v in (value if type(value) is tuple else (value,))):
+            raise ValueError("need integer %s, got %r" % (what, value))
+
+
 class RootSequence(namedtuple("RootSequence", "roots scale")):
     """Strictly decreasing integer roots and a positive scale, an int or a
     Fraction held as a Fraction, checked when the sequence is made, by _replace too."""
@@ -131,6 +137,7 @@ def pure_zip(rs, n):
 
 def eagon_northcott(w):
     """Roots (-1, ..., -(w-1)) of the Eagon-Northcott complex, w >= 2."""
+    _integers(w=w)
     if w < 2:
         raise ValueError("need w >= 2")
     return _integral(range(-1, -w, -1))
@@ -138,6 +145,7 @@ def eagon_northcott(w):
 
 def buchsbaum_rim(r, m):
     """Roots (-r-1, ..., -r-m) of the Buchsbaum-Rim/Eisenbud complex, r >= 1."""
+    _integers(r=r, m=m)
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
     return _integral(range(-r - 1, -r - m - 1, -1))
@@ -147,6 +155,7 @@ def schur_roots(lam):
     """Roots of the Schur bundle for a weakly decreasing lambda with
     lambda_m >= -1: the values -lambda_i - m + i - 1, sorted decreasing."""
     lam = tuple(lam)
+    _integers(lam=lam)
     m = len(lam)
     if m == 0:
         raise ValueError("lambda must be nonempty")
@@ -166,6 +175,7 @@ def tensor_roots(dims, weights):
     """
     dims = tuple(dims)
     weights = tuple(weights)
+    _integers(dims=dims, weights=weights)
     if len(dims) != len(weights):
         raise ValueError("dims and weights must have equal length")
     if any(w < 1 for w in dims):

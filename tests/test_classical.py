@@ -291,6 +291,24 @@ def test_pure_zip_refuses_a_bool_n():
         pure_zip(RootSequence((-1, -2)), True)
 
 
+@pytest.mark.parametrize("build, args, message", [
+    (buchsbaum_rim, (True, True), "need integer r, got True"),
+    (tensor_roots, ((True,), (0,)), "need integer dims, got (True,)"),
+    (tensor_roots, ((2,), (True,)), "need integer weights, got (True,)"),
+    (schur_roots, ((True, 0),), "need integer lam, got (True, 0)"),
+    (eagon_northcott, (3.0,), "need integer w, got 3.0"),
+    (buchsbaum_rim, (2, 3.0), "need integer m, got 3.0"),
+    (tensor_roots, ((2,), (0.5,)), "need integer weights, got (0.5,)"),
+    (schur_roots, ((1.5, 0),), "need integer lam, got (1.5, 0)"),
+    (tensor_roots, ((2.0,), (0,)), "need integer dims, got (2.0,)"),
+])
+def test_family_constructors_refuse_a_non_int_parameter(build, args, message):
+    # A bool or a float parameter is refused at the call, by name, before any range or gcd.
+    with pytest.raises(ValueError) as err:
+        build(*args)
+    assert str(err.value) == message
+
+
 def _wide_sequence(delta, seed):
     """Seeded RootSequence of delta roots in [-delta - 10, 10] with an
     integral scale (see _seeded_sequences)."""

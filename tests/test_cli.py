@@ -1,4 +1,3 @@
-import ast
 import hashlib
 import io
 import json
@@ -436,16 +435,6 @@ def test_table_window_bound_exit_64(capsys, monkeypatch):
     code, out, err = run(capsys, "table", *T64_ARGS, "--window=-32000,5")
     assert (code, out, len(solved)) == (64, "", 1)
     assert err == "error: need a window of at most %d * (n + 12) = %d columns, got 32006\n" % (MAX_WINDOW_WIDTHS, width)
-
-
-def test_stdout_is_written_in_one_place():
-    # Two print calls in cli: main's loop over _texts, and _stderr_line.
-    def prints(node):
-        return sum(isinstance(x, ast.Call) and getattr(x.func, "id", None) == "print" for x in ast.walk(node))
-
-    tree = ast.parse((SRC / "triplets" / "cli.py").read_text())
-    assert prints(tree) == 2
-    assert [f.name for f in tree.body if isinstance(f, ast.FunctionDef) and prints(f)] == ["_stderr_line", "main"]
 
 
 def test_usage_errors_exit_64(capsys, monkeypatch):
